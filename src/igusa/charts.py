@@ -1,4 +1,4 @@
-"""Zeta functions from normal-crossings chart data and univariate descent."""
+"""Zeta functions from normal-crossings chart data, and candidate poles."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .context import PadicContext
+from .integrate2d import _W
 from .poly import MultiPoly
 from .zeta import ZetaRational, one_var_integral
 
@@ -98,92 +99,26 @@ def zeta_from_charts(
     return total.reduced()
 
 
-def integrate_univariate(
-    h: MultiPoly, a: int, b: int, box_j: int, ctx: PadicContext
-) -> ZetaRational:
-    """Exact value of the integral of |h(u)|^(a s + b - 1) over P^box_j.
+def integrate_univariate(h: MultiPoly, box_j: int, ctx: PadicContext) -> ZetaRational:
+    """Exact value of the integral of |h(u)|^s over P^box_j.
 
-    Residue-class descent: a class u = c mod p^m where v_p(h(c)) < m has
-    constant |h|; a class where h has a unique simple root (unit derivative
-    mod p) is a one-variable integral after linearization; otherwise split.
-    Requires squarefree h.
+    Runs the class descent `integrate2d._W` on h as a polynomial in (u, w)
+    that does not involve w, over P^box_j x Z_p.  Requires a nonzero
+    squarefree h with integer coefficients.
     """
     import sympy
 
-    p = ctx.p
+    if not h.coefficients_integer():
+        raise ValueError("integer coefficients required")
     coeffs = [c.numerator for c in h.univariate_coeffs()]
     if all(c == 0 for c in coeffs):
         raise ValueError("h must be nonzero")
     u = sympy.Symbol("u")
     hs = sympy.Poly(list(reversed(coeffs)), u)
-    if hs.degree() >= 1:
-        if sympy.gcd(hs, hs.diff(u)).degree() > 0:
-            raise ValueError("h must be squarefree")
-        res = int(sympy.resultant(hs, hs.diff(u)))
-        depth_cap = _vp(res, p) + 2
-    else:
-        depth_cap = 2
-
-    def shift_scale(cs: list[int], c: int, scale: int) -> tuple[int, list[int]]:
-        """Coefficients of h(c + scale*u) with the p-content extracted."""
-        out = [0] * len(cs)
-        # Horner with polynomial accumulator in u
-        for co in reversed(cs):
-            # out <- out * (c + scale*u) + co
-            new = [0] * len(cs)
-            for k in range(len(cs) - 1):
-                if out[k]:
-                    new[k] += out[k] * c
-                    new[k + 1] += out[k] * scale
-            new[0] += co
-            out = new
-        w = None
-        for v in out:
-            if v:
-                w = _vp(v, p) if w is None else min(w, _vp(v, p))
-            if w == 0:
-                break
-        return w, [v // p**w for v in out]
-
-    def integral_unit_box(cs: list[int], depth: int) -> ZetaRational:
-        """Integral of |g(u)|^(a s + b - 1) over Z_p for primitive g."""
-        total = ZetaRational.zero(p)
-        deriv = [k * cs[k] for k in range(1, len(cs))]
-        for c in range(p):
-            val = sum(co * pow(c, k, p) for k, co in enumerate(cs)) % p
-            if val != 0:
-                total = total + ZetaRational.const(p, Fraction(1, p))
-                continue
-            dval = sum(co * pow(c, k, p) for k, co in enumerate(deriv)) % p
-            if dval != 0:
-                total = total + one_var_integral(p, 1, a, b)
-                continue
-            if depth > depth_cap:
-                raise ArithmeticError(
-                    "descent depth cap exceeded; repeated root suspected"
-                )
-            w, g = shift_scale(cs, c, p)
-            inner = integral_unit_box(g, depth + 1)
-            piece = inner.shift(w * a).scale(Fraction(1, p ** (1 + w * (b - 1))))
-            total = total + piece
-        return total
-
-    w, g = shift_scale(coeffs, 0, p**box_j)
-    out = integral_unit_box(g, 0).shift(w * a).scale(
-        Fraction(1, p ** (box_j + w * (b - 1)))
-    )
-    return out.reduced()
-
-
-def _vp(m: int, p: int) -> int:
-    if m == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    m = abs(m)
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
+    if hs.degree() >= 1 and sympy.gcd(hs, hs.diff(u)).degree() > 0:
+        raise ValueError("h must be squarefree")
+    f = MultiPoly(("u", "w"), {(k, 0): c for k, c in enumerate(coeffs)})
+    return _W(f, ctx.p, 0, 1, 0, 1, box_j, 0, 0).reduced()
 
 
 def candidate_poles_filtered(

@@ -20,24 +20,14 @@ from .divisibility import (
     min_shift,
     smallest_real_pole,
 )
-from .families import (
-    real_pole_parts,
-    theorem_membership,
-    zeta_sum_squares,
-    zeta_x2_ayl,
-    zeta_xy_zi,
-)
+from .families import zeta_sum_squares, zeta_x2_ayl, zeta_xy_zi
 from .integrate2d import zeta_two_var
 from .poly import parse_poly
-from .resolve import NonRationalCenterError, resolve_germ, resolution_candidate_poles
-from .zeta import ZetaRational, laurent_at, poincare_from_zeta
+from .resolve import NonRationalCenterError, resolve_germ
+from .zeta import ZetaRational, laurent_at
 
 
 class UsageError(Exception):
-    pass
-
-
-class UnsupportedError(Exception):
     pass
 
 

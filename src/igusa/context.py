@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 def is_prime(m: int) -> bool:
@@ -19,6 +20,21 @@ def is_prime(m: int) -> bool:
             return False
         d += 2
     return True
+
+
+def vp(x: int | Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero int or Fraction."""
+    if x == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    num, den = abs(x.numerator), x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 @dataclass(frozen=True)

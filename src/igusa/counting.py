@@ -22,15 +22,11 @@ def count_naive(f: MultiPoly, p: int, i: int, budget: int = NAIVE_BUDGET) -> int
     total_points = m**n
     if total_points > budget:
         raise ValueError(f"p^(n*i) = {total_points} exceeds budget {budget}")
+    if m > 2**31:
+        raise ValueError(f"p^i = {m} overflows int64 products")
     if not f.coefficients_integer():
         raise ValueError("integer coefficients required")
-    if m <= 2**31 and total_points <= budget:
-        return _count_naive_numpy(f, m, n)
-    count = 0
-    for pt in product(range(m), repeat=n):
-        if f.eval_int(pt) % m == 0:
-            count += 1
-    return count
+    return _count_naive_numpy(f, m, n)
 
 
 def _count_naive_numpy(f: MultiPoly, m: int, n: int) -> int:

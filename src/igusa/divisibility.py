@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
+from .context import vp
 from .qpoly import QPoly
 from .zeta import PoincareSeries, ZetaRational, expand_factor
 
@@ -45,21 +46,6 @@ def smallest_real_pole(z: ZetaRational) -> Fraction:
     return min(s0 for s0, _ in z.candidate_poles())
 
 
-def _vp_fraction(c: Fraction, p: int) -> int:
-    if c == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    m = abs(c.numerator)
-    while m % p == 0:
-        m //= p
-        v += 1
-    m = c.denominator
-    while m % p == 0:
-        m //= p
-        v -= 1
-    return v
-
-
 def check_divisibility(M: PoincareSeries, l: Fraction, a: int) -> DivisibilityReport:
     """Verify v_p(M_i) >= ceil((n+l)i - a) on the whole series; M_i = 0
     passes vacuously."""
@@ -71,9 +57,9 @@ def check_divisibility(M: PoincareSeries, l: Fraction, a: int) -> DivisibilityRe
         need = ceil((n + l) * i - a)
         if m == 0 or need <= 0:
             continue
-        if _vp_fraction(Fraction(m), p) < need:
+        if vp(m, p) < need:
             violations.append({"i": i, "M_i": m, "needed": need,
-                               "v_p": _vp_fraction(Fraction(m), p)})
+                               "v_p": vp(m, p)})
     return DivisibilityReport(l=l, n=n, a_min=a,
                               checked_up_to=M.imax, violations=violations)
 
@@ -86,7 +72,7 @@ def min_shift(M: PoincareSeries, l: Fraction) -> int:
     for i, m in enumerate(M.counts()):
         if m == 0:
             continue
-        best = max(best, ceil((n + l) * i) - _vp_fraction(Fraction(m), p))
+        best = max(best, ceil((n + l) * i) - vp(m, p))
     return best
 
 
@@ -98,7 +84,7 @@ def divisibility_property_check(coeffs, n: int, l: Fraction, p: int, k: int) -> 
         c = Fraction(c)
         if c == 0:
             continue
-        if _vp_fraction(c, p) + n * i < ceil((n + l) * i):
+        if vp(c, p) + n * i < ceil((n + l) * i):
             return False
         if (c * Fraction(p) ** (n * i)).denominator != 1:
             return False
@@ -134,5 +120,5 @@ def constructive_shift(z: ZetaRational, n: int, l: Fraction) -> tuple[int, QPoly
     for i, ci in enumerate(c.coeffs):
         if ci == 0:
             continue
-        a = max(a, ceil((n + l) * i) - n * i - _vp_fraction(ci, p))
+        a = max(a, ceil((n + l) * i) - n * i - vp(ci, p))
     return a, c

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 from .charts import integrate_univariate
-from .context import PadicContext
+from .context import PadicContext, vp
 from .integrate2d import zeta_two_var
 from .poly import MultiPoly, parse_poly
 from .qpoly import QPoly
@@ -30,27 +30,18 @@ def zeta_sum_squares(ctx: PadicContext):
     monomial integral times a unit-factor integral of |1+v^2|."""
     p = ctx.p
     v = parse_poly("1+v^2", ("v",))
-    inner = integrate_univariate(v, 1, 1, 0, ctx) + integrate_univariate(v, 1, 1, 1, ctx)
+    inner = integrate_univariate(v, 0, ctx) + integrate_univariate(v, 1, ctx)
     z = (one_var_integral(p, 0, 2, 2) * inner).reduced()
     exp = laurent_at(z, Fraction(-1))
     laurent = [(Fraction(-1), exp.b(exp.pole_order))]
     return z, laurent
 
 
-def _vp(m: int, p: int) -> int:
-    v = 0
-    m = abs(m)
-    while m and m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
 def is_square_qp(a: int, p: int) -> bool:
     """Whether the nonzero integer a is a square in Q_p."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    v = _vp(a, p)
+    v = vp(a, p)
     if v % 2:
         return False
     u = a // p**v
@@ -91,10 +82,12 @@ def real_pole_parts(z: ZetaRational) -> list[Fraction]:
 
 def residue_x2_ayl_odd(ctx: PadicContext, a: int, r: int) -> ResidueValue:
     """Closed-form residue of x^2 + a*y^(2r+1) at s0 = -1/2 - 1/(2r+1)."""
+    if a == 0:
+        raise ValueError("a must be nonzero")
     q = ctx.p
     M = lcm(2, 2 * r + 1)
     one = RadicalScalar.from_rational(q, 1, M)
-    va = _vp(a, q)
+    va = vp(a, q)
 
     def qpow(e: Fraction) -> RadicalScalar:
         return RadicalScalar.p_power(q, e).lifted(M)
@@ -119,7 +112,7 @@ def residue_x2_ayl_even(ctx: PadicContext, a: int, r: int) -> ResidueValue:
     kappa = Fraction(q - 1, q * 2 * r)
     inv = (RadicalScalar.p_power(q, Fraction(1, r)) - 1).inverse()
     if q != 2:
-        if is_square_qp(-a, q) or _vp(a, q) != 0:
+        if is_square_qp(-a, q) or vp(a, q) != 0:
             raise ValueError("closed form requires -a a non-square unit")
         value = (inv * Fraction(q - 1, q) + 1) * kappa
     else:

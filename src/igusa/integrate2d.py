@@ -1,10 +1,12 @@
-"""Exact two-variable p-adic integrals by residue-class descent and blowup.
+"""Exact p-adic integrals by residue-class descent and blowup.
 
 Computes W = integral over p^(j1)Z_p x p^(j2)Z_p of
     |f(x,y)|^s |x|^(A s + a - 1) |y|^(B s + b - 1) |dx dy|
 as a ZetaRational.  The weight pairs (A,a), (B,b) accumulate the monomial
 factors produced by blowups, so the recursion mirrors an embedded
-resolution of f while staying entirely inside exact arithmetic.
+resolution of f while staying entirely inside exact arithmetic.  This is
+the only class descent: one-variable integrals
+(`charts.integrate_univariate`) run through it with f free of y.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .context import PadicContext
-from .poly import MultiPoly
+from .poly import MultiPoly, blowup_chart_a, blowup_chart_b
 from .zeta import ZetaRational, one_var_integral
 
 MAX_DEPTH = 200
@@ -35,14 +37,6 @@ def zeta_two_var(f: MultiPoly, ctx: PadicContext) -> ZetaRational:
     if not f.coefficients_integer():
         raise ValueError("integer coefficients required")
     z = _W(f, ctx.p, 0, 1, 0, 1, 0, 0, 0)
-    return z.reduced()
-
-
-def weighted_integral(
-    f: MultiPoly, ctx: PadicContext, wx: tuple[int, int], wy: tuple[int, int],
-    box: tuple[int, int] = (0, 0),
-) -> ZetaRational:
-    z = _W(f, ctx.p, wx[0], wx[1], wy[0], wy[1], box[0], box[1], 0)
     return z.reduced()
 
 
@@ -108,11 +102,8 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
             else:
                 # origin: blow up.  Chart x = u, y = u v covers |y| <= |x|,
                 # chart x = u v, y = v the rest; both restricted to pZ_p^2.
-                mu = f.multiplicity_at_origin()
-                ga = f.subs({yn: MultiPoly.var(f.vars, xn) * MultiPoly.var(f.vars, yn)})
-                ga = ga.divide_var_power(xn, mu)
-                gb = f.subs({xn: MultiPoly.var(f.vars, xn) * MultiPoly.var(f.vars, yn)})
-                gb = gb.divide_var_power(yn, mu)
+                ga, mu = blowup_chart_a(f, xn, yn)
+                gb, _ = blowup_chart_b(f, xn, yn)
                 total = total + _W(ga, p, A + B + mu, a + b, B, b, 1, 0, depth + 1)
                 total = total + _W(gb, p, A, a, A + B + mu, a + b, 1, 1, depth + 1)
     return total.scale(scale).shift(tshift)

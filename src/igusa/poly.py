@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .context import vp
+
 
 class MultiPoly:
     __slots__ = ("vars", "terms")
@@ -158,11 +160,7 @@ class MultiPoly:
         for c in self.terms.values():
             if c.denominator != 1:
                 raise ValueError("non-integer coefficients")
-            v = 0
-            n = abs(c.numerator)
-            while n % p == 0:
-                n //= p
-                v += 1
+            v = vp(c, p)
             w = v if w is None else min(w, v)
             if w == 0:
                 return 0
@@ -187,16 +185,6 @@ class MultiPoly:
     def divisible_by_var(self, name: str) -> bool:
         i = self.vars.index(name)
         return all(e[i] >= 1 for e in self.terms)
-
-    def mod_p(self, p: int) -> "MultiPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if c.denominator % p == 0:
-                raise ValueError("denominator divisible by p")
-            r = (c.numerator * pow(c.denominator, -1, p)) % p
-            if r:
-                out[e] = Fraction(r)
-        return MultiPoly(self.vars, out)
 
     def coefficients_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
@@ -279,7 +267,6 @@ class _Parser:
         base = self.atom()
         if self.peek() in ("^", "**"):
             self.take()
-            neg = False
             if self.peek() == "-":
                 raise ValueError("negative exponent")
             e = self.take()

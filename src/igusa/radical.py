@@ -8,7 +8,7 @@ field and an element is zero exactly when all its coefficients are zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 
@@ -122,15 +122,6 @@ class RadicalScalar:
         _, rem = inv.divmod(mod)
         return RadicalScalar(self.p, self.M, rem.truncated(self.M - 1))
 
-    def __truediv__(self, other) -> "RadicalScalar":
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        a, b = self._common(other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other) -> "RadicalScalar":
-        return self.inverse() * other
-
     def __pow__(self, k: int) -> "RadicalScalar":
         if k < 0:
             return self.inverse() ** (-k)
@@ -195,10 +186,6 @@ class RadicalScalar:
             bits *= 2
             if bits > 4096:
                 raise ArithmeticError("sign refinement did not converge")
-
-    def __float__(self) -> float:
-        r = float(self.p) ** (1.0 / self.M)
-        return sum(float(c) * r**i for i, c in enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         if all(c == 0 for c in self.coeffs[1:]):

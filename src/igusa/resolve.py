@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charts import CandidatePole, CharacterSpec
+from .charts import CandidatePole, CharacterSpec, candidate_poles_filtered
 from .poly import MultiPoly, blowup_chart_a, blowup_chart_b, tangent_cone_factors
 
 
@@ -24,8 +24,6 @@ class ExceptionalCurve:
     id: int
     N: int
     nu: int
-    created_at_step: int
-    parent_ids: list
 
     @property
     def real_part(self) -> Fraction:
@@ -46,7 +44,6 @@ class BlowupRecord:
     mu: int
     axes: dict  # coordinate -> (curve id, N, nu)
     new_id: int
-    tc_summary: str
     components: list  # (label, degree, N_jr, nu_jr) through the center
 
 
@@ -56,7 +53,6 @@ class ResolutionTree:
     strict_components: list = field(default_factory=list)
     adjacency: set = field(default_factory=set)
     log: list = field(default_factory=list)
-    inspected_degree: int = 0
 
     def curve(self, cid: int) -> ExceptionalCurve:
         return self.curves[cid - 1]
@@ -111,7 +107,6 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
     _squarefree_check(f)
     xn, yn = f.vars
     tree = ResolutionTree()
-    tree.inspected_degree = f.total_degree()
     step = 0
     # each site: (strict transform, axes dict coord->curve id)
     sites = [(f, {})]
@@ -152,15 +147,7 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
         nu_new = (2 - len(ax_list)) + sum(tree.curve(c).nu for _, c in ax_list)
         step += 1
         new_id = len(tree.curves) + 1
-        tree.curves.append(
-            ExceptionalCurve(
-                id=new_id,
-                N=N_new,
-                nu=nu_new,
-                created_at_step=step,
-                parent_ids=[c for _, c in ax_list],
-            )
-        )
+        tree.curves.append(ExceptionalCurve(id=new_id, N=N_new, nu=nu_new))
         if len(ax_list) == 2:
             # blowing up a crossing strictly improves the worst candidate
             worst = min(tree.curve(c).real_part for _, c in ax_list)
@@ -187,8 +174,6 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
                 mu=mu,
                 axes={k: (v, tree.curve(v).N, tree.curve(v).nu) for k, v in axes.items()},
                 new_id=new_id,
-                tc_summary=f"x^{xmult} y^{ymult} "
-                + " ".join(f"(deg {len(cs)-1})^{m}" for cs, m in factors),
                 components=components,
             )
         )
@@ -259,26 +244,16 @@ def relations_check(tree: ResolutionTree, step: int) -> dict:
 def resolution_candidate_poles(
     tree: ResolutionTree, chi: CharacterSpec = CharacterSpec()
 ) -> list[CandidatePole]:
-    by_rp: dict[Fraction, CandidatePole] = {}
-    rp_of: dict[int, Fraction] = {}
-    for c in tree.curves:
-        rp_of[c.id] = c.real_part
-        if c.N % chi.order != 0:
-            continue
-        rp = c.real_part
-        if rp in by_rp:
-            by_rp[rp].sources.append(c.id)
-            by_rp[rp].N = min(by_rp[rp].N, c.N)
-        else:
-            by_rp[rp] = CandidatePole(real_part=rp, N=c.N, sources=[c.id])
-    if tree.strict_components and 1 % chi.order == 0:
-        rp = Fraction(-1)
-        if rp in by_rp:
-            by_rp[rp].sources.append(-1)
-        else:
-            by_rp[rp] = CandidatePole(real_part=rp, N=1, sources=[-1])
-    # expected order: 2 when two components with the same real part meet
-    for rp, pole in by_rp.items():
+    """Candidate poles of the exceptional curves and, as (N, nu) = (1, 1),
+    of the strict transform.  Sources are curve ids, -1 for the strict
+    transform."""
+    data = tree.numerical_data() + [(1, 1)] * bool(tree.strict_components)
+    poles = candidate_poles_filtered(data, chi)
+    rp_of = {c.id: c.real_part for c in tree.curves}
+    for pole in poles:
+        pole.sources = [i + 1 if i < len(tree.curves) else -1 for i in pole.sources]
+        # expected order: 2 when two components with the same real part meet
+        rp = pole.real_part
         order = 1
         for edge in tree.adjacency:
             a, b = tuple(edge)
@@ -288,4 +263,4 @@ def resolution_candidate_poles(
             if s.attached_to >= 0 and rp == Fraction(-1) and rp_of[s.attached_to] == rp:
                 order = 2
         pole.expected_order = order
-    return [by_rp[k] for k in sorted(by_rp)]
+    return poles

@@ -40,12 +40,7 @@ class ZetaRational:
         return self.numerator.is_zero()
 
     def denominator_poly(self) -> QPoly:
-        d = QPoly.const(1)
-        for (N, nu), m in self.denominator.items():
-            f = expand_factor(self.p, N, nu)
-            for _ in range(m):
-                d = d * f
-        return d
+        return _times_factors(self.p, QPoly.const(1), self.denominator)
 
     def scale(self, c: Fraction | int) -> "ZetaRational":
         return ZetaRational(self.p, self.numerator.scale(c), self.denominator)
@@ -62,18 +57,8 @@ class ZetaRational:
         den = Counter()
         for key in set(self.denominator) | set(other.denominator):
             den[key] = max(self.denominator[key], other.denominator[key])
-        na = self.numerator
-        for key, m in den.items():
-            extra = m - self.denominator[key]
-            f = expand_factor(self.p, *key)
-            for _ in range(extra):
-                na = na * f
-        nb = other.numerator
-        for key, m in den.items():
-            extra = m - other.denominator[key]
-            f = expand_factor(self.p, *key)
-            for _ in range(extra):
-                nb = nb * f
+        na = _times_factors(self.p, self.numerator, den - self.denominator)
+        nb = _times_factors(self.p, other.numerator, den - other.denominator)
         return ZetaRational(self.p, na + nb, den)
 
     __radd__ = __add__
@@ -112,16 +97,6 @@ class ZetaRational:
                     changed = True
         return ZetaRational(self.p, num, den)
 
-    def has_partial_cancellation(self) -> bool:
-        """True if the numerator shares a nontrivial factor with a surviving
-        denominator factor without dividing it out whole."""
-        r = self.reduced()
-        for key in r.denominator:
-            f = expand_factor(r.p, *key)
-            if r.numerator.gcd(f).degree > 0:
-                return True
-        return False
-
     def candidate_poles(self) -> list[tuple[Fraction, int]]:
         """Real candidate poles -nu/N with multiplicity from the factored form."""
         acc: dict[Fraction, int] = {}
@@ -146,19 +121,6 @@ class ZetaRational:
         # numerator vanishes at t0: compare vanishing orders via Laurent data
         exp = laurent_at(r, s0)
         return exp.pole_order > 0
-
-    def eval_at(self, t0) -> "RadicalScalar | Fraction":
-        num = self.numerator(t0)
-        den = num * 0 + 1 if isinstance(num, RadicalScalar) else Fraction(1)
-        for (N, nu), m in self.denominator.items():
-            f = 1 - Fraction(1, self.p**nu) * t0**N if isinstance(t0, (int, Fraction)) else (
-                (t0**N) * Fraction(-1, self.p**nu) + 1
-            )
-            for _ in range(m):
-                den = den * f
-        if isinstance(den, Fraction):
-            return num / den
-        return num * den.inverse()
 
     def eval_at_one(self) -> Fraction:
         num = self.numerator(Fraction(1))
@@ -213,6 +175,15 @@ def expand_factor(p: int, N: int, nu: int) -> QPoly:
     coeffs[0] = Fraction(1)
     coeffs[N] = Fraction(-1, p**nu)
     return QPoly(coeffs)
+
+
+def _times_factors(p: int, num: QPoly, factors: Counter) -> QPoly:
+    """num times prod (1 - p^(-nu) t^N)^m over the factors {(N, nu): m}."""
+    for key, m in factors.items():
+        f = expand_factor(p, *key)
+        for _ in range(m):
+            num = num * f
+    return num
 
 
 def one_var_integral(p: int, j: int, N: int, nu: int) -> ZetaRational:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from igusa.context import vp
 from igusa.qpoly import QPoly
 from igusa.radical import RadicalScalar, ResidueValue
 from igusa.zeta import (
@@ -175,3 +176,15 @@ def test_reduced_cancels_whole_factors():
     red = bloated.reduced()
     assert dict(red.denominator) == {(2, 2): 1}
     assert series_coeffs(red, 6) == series_coeffs(z, 6)
+
+
+def test_vp():
+    assert vp(1, 3) == 0
+    assert vp(18, 3) == 2
+    assert vp(-24, 2) == 3
+    assert vp(Fraction(5, 4), 2) == -2
+    assert vp(Fraction(-9, 10), 3) == 2
+    with pytest.raises(ValueError):
+        vp(0, 5)
+    with pytest.raises(ValueError):
+        vp(Fraction(0), 5)

@@ -13,7 +13,7 @@ from igusa.charts import (
 )
 from igusa.context import PadicContext
 from igusa.counting import verify_zeta_against_counts
-from igusa.poly import parse_poly
+from igusa.poly import MultiPoly, parse_poly
 from igusa.qpoly import QPoly
 from igusa.zeta import ZetaRational, one_var_integral, series_coeffs
 
@@ -77,14 +77,14 @@ def test_cell_json_round_trip():
 
 def test_integrate_univariate_base_case():
     ctx = PadicContext(5, 1)
-    z = integrate_univariate(parse_poly("u"), 1, 1, 0, ctx)
+    z = integrate_univariate(parse_poly("u"), 0, ctx)
     assert _same(z, one_var_integral(5, 0, 1, 1))
 
 
 def test_integrate_univariate_no_roots():
     # u^2+1 has no zero mod 3, so |u^2+1| = 1 on all of Z_3
     ctx = PadicContext(3, 1)
-    z = integrate_univariate(parse_poly("u^2+1"), 1, 1, 0, ctx)
+    z = integrate_univariate(parse_poly("u^2+1"), 0, ctx)
     assert z.numerator == QPoly.const(Fraction(1))
     assert not z.denominator
 
@@ -93,7 +93,7 @@ def test_integrate_univariate_two_simple_roots():
     # |u(u+1)|^s over Z_5: classes u=0 and u=-1 each contribute a linear
     # integral, the other three classes have measure 3/5 with value 1
     ctx = PadicContext(5, 1)
-    z = integrate_univariate(parse_poly("u*(u+1)", vars=("u",)), 1, 1, 0, ctx)
+    z = integrate_univariate(parse_poly("u*(u+1)", vars=("u",)), 0, ctx)
     expected = (
         ZetaRational(5, QPoly.const(Fraction(3, 5)), {})
         + one_var_integral(5, 1, 1, 1)
@@ -107,7 +107,7 @@ def test_integrate_univariate_counting_oracle():
     for text, p in (("u*(u+1)", 3), ("u^2-2", 7), ("u*(u^2+1)", 5)):
         ctx = PadicContext(p, 1)
         h = parse_poly(text, vars=("u",))
-        z = integrate_univariate(h, 1, 1, 0, ctx)
+        z = integrate_univariate(h, 0, ctx)
         ok, predicted, actual = verify_zeta_against_counts(z, h, 4)
         assert ok, (text, p, predicted, actual)
 
@@ -115,7 +115,14 @@ def test_integrate_univariate_counting_oracle():
 def test_integrate_univariate_rejects_repeated_roots():
     ctx = PadicContext(3, 1)
     with pytest.raises(ValueError):
-        integrate_univariate(parse_poly("u^2", vars=("u",)), 1, 1, 0, ctx)
+        integrate_univariate(parse_poly("u^2", vars=("u",)), 0, ctx)
+
+
+def test_integrate_univariate_rejects_non_integer_coefficients():
+    # |u/2|^s is 2^s |u|^s over Z_2, not the integral of |u|^s
+    for p in (2, 3):
+        with pytest.raises(ValueError):
+            integrate_univariate(MultiPoly(("u",), {(1,): Fraction(1, 2)}), 0, PadicContext(p, 1))
 
 
 def test_candidate_filter_trivial_character():

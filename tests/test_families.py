@@ -127,6 +127,12 @@ def test_x2_ayl_rejects_small_l():
         zeta_x2_ayl(PadicContext(3, 2), 1, 1)
 
 
+def test_x2_ayl_odd_rejects_zero_coefficient():
+    # x^2 + 0*y^3 is not in the family; v_p(0) is undefined
+    with pytest.raises(ValueError):
+        residue_x2_ayl_odd(PadicContext(3, 2), 0, 1)
+
+
 def test_xy_zi_formula_i2():
     z = zeta_xy_zi(PadicContext(3, 3), 2)
     # (2/3) * (1 - t/27) / ((1 - t/3)(1 - t^2/27))
