@@ -9,7 +9,7 @@ from math import ceil
 
 from .context import vp
 from .qpoly import QPoly
-from .zeta import PoincareSeries, ZetaRational, expand_factor
+from .zeta import PoincareSeries, ZetaRational, divide_binomial
 
 
 @dataclass
@@ -104,18 +104,18 @@ def constructive_shift(z: ZetaRational, n: int, l: Fraction) -> tuple[int, QPoly
     if not rem.is_zero():
         raise ArithmeticError("Z(1) != 1: 1 - tZ not divisible by 1 - t")
     # divide away the factors below the threshold; must be exact
+    cs, d = c.to_ints()
     for (N, nu), m in z.denominator.items():
         if Fraction(-nu, N) >= l:
             continue
-        f = expand_factor(p, N, nu)
         for _ in range(m):
-            q = f.divides_exactly(c)
-            if q is None:
+            cs = divide_binomial(cs, p, N, nu)
+            if cs is None:
                 raise ArithmeticError(
                     "numerator C(t) not polynomial: a below-threshold factor "
                     "does not divide exactly"
                 )
-            c = q
+    c = QPoly.from_ints(cs, d)
     a = 0
     for i, ci in enumerate(c.coeffs):
         if ci == 0:

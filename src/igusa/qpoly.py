@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -12,7 +13,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -24,6 +25,16 @@ class QPoly:
     @classmethod
     def monomial(cls, c: Fraction | int, k: int) -> "QPoly":
         return cls([Fraction(0)] * k + [Fraction(c)])
+
+    @classmethod
+    def from_ints(cls, cs: Sequence[int], d: int) -> "QPoly":
+        """The polynomial sum cs[i] t^i / d."""
+        return cls([Fraction(c, d) for c in cs])
+
+    def to_ints(self) -> tuple[list[int], int]:
+        """(cs, d) with self == QPoly.from_ints(cs, d), d the least common denominator."""
+        d = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
 
     @property
     def degree(self) -> int:
@@ -73,7 +84,9 @@ class QPoly:
         return QPoly([a * c for a in self.coeffs])
 
     def shift(self, k: int) -> "QPoly":
-        """Multiply by t^k."""
+        """Multiply by t^k, k >= 0."""
+        if k < 0:
+            raise ValueError(f"shift by t^{k}: negative powers of t are not polynomials")
         if self.is_zero():
             return self
         return QPoly([Fraction(0)] * k + list(self.coeffs))
@@ -106,11 +119,6 @@ class QPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
         return QPoly(quot), QPoly(rem)
-
-    def divides_exactly(self, other: "QPoly") -> "QPoly | None":
-        """Return other / self if the division is exact, else None."""
-        q, r = other.divmod(self)
-        return q if r.is_zero() else None
 
     def gcd(self, other: "QPoly") -> "QPoly":
         a, b = self, other

@@ -3,30 +3,39 @@
 A ZetaRational stores an exact numerator N(t) over Q and a multiset of
 denominator factors (1 - p^(-nu) t^N), keeping the factorization so that
 candidate poles stay readable and Laurent expansions are cheap.
+
+Sums and cancellations work on a numerator as integer coefficients over
+one common denominator (`QPoly.to_ints`): multiplying by a factor is an
+O(deg) integer update (`times_binomials`), dividing by it exact top-down
+integer division (`divide_binomial`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import zip_longest
+from math import factorial, gcd, lcm
 
 from .qpoly import QPoly
 from .radical import RadicalScalar, ResidueValue
 
 
 class ZetaRational:
-    """N(t) / prod (1 - p^(-nu) t^N)^mult, exact over Q."""
+    """N(t) / prod (1 - p^(-nu) t^N)^mult, exact over Q.
+
+    `+` lifts both numerators to the union of the denominator multisets
+    and adds them over the lcm of their common denominators; `reduced`
+    cancels factors by exact integer division.  Either builds one Fraction
+    per output coefficient.
+    """
 
     __slots__ = ("p", "numerator", "denominator")
 
     def __init__(self, p: int, numerator: QPoly, denominator=None) -> None:
         self.p = p
         self.numerator = numerator
-        self.denominator: Counter = Counter(denominator or {})
-        for (N, nu), m in list(self.denominator.items()):
-            if m <= 0:
-                del self.denominator[(N, nu)]
+        self.denominator: Counter = +Counter(denominator or {})
 
     @classmethod
     def const(cls, p: int, c: Fraction | int) -> "ZetaRational":
@@ -40,7 +49,7 @@ class ZetaRational:
         return self.numerator.is_zero()
 
     def denominator_poly(self) -> QPoly:
-        return _times_factors(self.p, QPoly.const(1), self.denominator)
+        return QPoly.from_ints(*times_binomials([1], 1, self.p, self.denominator))
 
     def scale(self, c: Fraction | int) -> "ZetaRational":
         return ZetaRational(self.p, self.numerator.scale(c), self.denominator)
@@ -57,9 +66,13 @@ class ZetaRational:
         den = Counter()
         for key in set(self.denominator) | set(other.denominator):
             den[key] = max(self.denominator[key], other.denominator[key])
-        na = _times_factors(self.p, self.numerator, den - self.denominator)
-        nb = _times_factors(self.p, other.numerator, den - other.denominator)
-        return ZetaRational(self.p, na + nb, den)
+        ca, da = times_binomials(*self.numerator.to_ints(), self.p, den - self.denominator)
+        cb, db = times_binomials(*other.numerator.to_ints(), self.p, den - other.denominator)
+        d = lcm(da, db)
+        ka, kb = d // da, d // db
+        cs = [ka * a + kb * b for a, b in zip_longest(ca, cb, fillvalue=0)]
+        g = gcd(d, *cs)
+        return ZetaRational(self.p, QPoly.from_ints([c // g for c in cs], d // g), den)
 
     __radd__ = __add__
 
@@ -79,23 +92,20 @@ class ZetaRational:
 
     def reduced(self) -> "ZetaRational":
         """Cancel denominator factors that divide the numerator exactly."""
-        num = self.numerator
+        if self.is_zero():
+            return ZetaRational.zero(self.p)
+        cs, d = self.numerator.to_ints()
         den = Counter(self.denominator)
-        if num.is_zero():
-            return ZetaRational(self.p, num)
         changed = True
         while changed:
             changed = False
-            for key, m in list(den.items()):
-                if m <= 0:
-                    continue
-                f = expand_factor(self.p, *key)
-                q = f.divides_exactly(num)
+            for key in [k for k, m in den.items() if m > 0]:
+                q = divide_binomial(cs, self.p, *key)
                 if q is not None:
-                    num = q
+                    cs = q
                     den[key] -= 1
                     changed = True
-        return ZetaRational(self.p, num, den)
+        return ZetaRational(self.p, QPoly.from_ints(cs, d), den)
 
     def candidate_poles(self) -> list[tuple[Fraction, int]]:
         """Real candidate poles -nu/N with multiplicity from the factored form."""
@@ -169,21 +179,34 @@ class ZetaRational:
         return f"({self.numerator!r}) / [{den}]"
 
 
-def expand_factor(p: int, N: int, nu: int) -> QPoly:
-    """The polynomial 1 - p^(-nu) t^N."""
-    coeffs = [Fraction(0)] * (N + 1)
-    coeffs[0] = Fraction(1)
-    coeffs[N] = Fraction(-1, p**nu)
-    return QPoly(coeffs)
+def divide_binomial(cs: list[int], p: int, N: int, nu: int) -> list[int] | None:
+    """Integer coefficients of C(t) / (1 - p^(-nu) t^N) over the same
+    denominator as C, or None if the factor does not divide C."""
+    n = len(cs) - N  # length of the quotient
+    if n <= 0:
+        return None if cs else []
+    pn = p**nu
+    q = [0] * n
+    for i in range(len(cs) - 1, N - 1, -1):
+        q[i - N] = pn * ((q[i] if i < n else 0) - cs[i])
+    if any(cs[i] != (q[i] if i < n else 0) for i in range(N)):
+        return None
+    return q
 
 
-def _times_factors(p: int, num: QPoly, factors: Counter) -> QPoly:
-    """num times prod (1 - p^(-nu) t^N)^m over the factors {(N, nu): m}."""
-    for key, m in factors.items():
-        f = expand_factor(p, *key)
+def times_binomials(cs: list[int], d: int, p: int, factors) -> tuple[list[int], int]:
+    """cs/d times prod (1 - p^(-nu) t^N)^m over the factors {(N, nu): m},
+    as integer coefficients over a common denominator; one factor is the
+    O(deg) update c'_i = p^nu c_i - c_(i-N), d' = p^nu d."""
+    if not cs:
+        return cs, d
+    for (N, nu), m in factors.items():
+        pn = p**nu
         for _ in range(m):
-            num = num * f
-    return num
+            out = [pn * c for c in cs] + [0] * N
+            out[N:] = [a - c for a, c in zip(out[N:], cs)]
+            cs, d = out, d * pn
+    return cs, d
 
 
 def one_var_integral(p: int, j: int, N: int, nu: int) -> ZetaRational:

@@ -3,17 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igusa.context import vp
 from igusa.qpoly import QPoly
 from igusa.radical import RadicalScalar, ResidueValue
 from igusa.zeta import (
     ZetaRational,
+    divide_binomial,
     eval_at_one,
     laurent_at,
     one_var_integral,
     poincare_from_zeta,
     series_coeffs,
+    times_binomials,
 )
 from igusa.poly import parse_poly
 from igusa.counting import count_naive
@@ -30,6 +33,49 @@ def test_qpoly_divmod_and_gcd():
     assert g.degree == 1
     assert a.divmod(g)[1].is_zero()
     assert b.divmod(g)[1].is_zero()
+
+
+def test_negative_shift_raises():
+    with pytest.raises(ValueError):
+        QPoly([1, 2]).shift(-1)
+    with pytest.raises(ValueError):
+        ZetaRational(3, QPoly([0, 1])).shift(-3)
+
+
+def _binomial(p, N, nu):
+    """1 - p^(-nu) t^N, expanded."""
+    return QPoly([1] + [0] * (N - 1) + [Fraction(-1, p**nu)])
+
+
+@st.composite
+def _binomial_cases(draw):
+    """(p, N, nu, numerator); the numerator's denominators include
+    non-powers of p such as p^a - 1, and half the numerators are
+    multiples of the factor."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(1, 4))
+    nu = draw(st.integers(1, 4))
+    dens = st.sampled_from([1, p, p**2, p - 1, p**2 - 1, p**3 - 1, p * (p - 1)])
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-20, 20), dens), max_size=11))
+    num = QPoly(coeffs)
+    if draw(st.booleans()):
+        num = num * _binomial(p, N, nu)
+    return p, N, nu, num
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_binomial_cases())
+def test_binomial_kernels_match_qpoly(case):
+    p, N, nu, num = case
+    f = _binomial(p, N, nu)
+    cs, d = num.to_ints()
+    assert QPoly.from_ints(cs, d) == num
+    assert QPoly.from_ints(*times_binomials(cs, d, p, {(N, nu): 2})) == num * f * f
+    q, r = num.divmod(f)
+    quot = divide_binomial(cs, p, N, nu)
+    assert (quot is not None) == r.is_zero()
+    if quot is not None:
+        assert QPoly.from_ints(quot, d) == q
 
 
 def test_radical_scalar_root_identity():
