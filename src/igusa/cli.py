@@ -1,7 +1,8 @@
 """Command-line front end: counting, zeta functions, resolution, reports.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 unsupported input (e.g. a non-rational blowup center).
+3 unsupported input (e.g. a non-rational blowup center), 4 internal
+error (an ArithmeticError such as an exceeded recursion depth).
 """
 
 from __future__ import annotations
@@ -37,13 +38,16 @@ def _fraction(text: str) -> Fraction:
             a, b = text.split("/")
             return Fraction(int(a), int(b))
         return Fraction(int(text))
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"bad fraction {text!r}") from e
 
 
 def _load_zeta(path: str) -> ZetaRational:
     with open(path) as fh:
-        return ZetaRational.from_json(json.load(fh))
+        try:
+            return ZetaRational.from_json(json.load(fh))
+        except ZeroDivisionError as e:
+            raise UsageError(f"zero denominator in {path}") from e
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -273,9 +277,12 @@ def run(argv) -> int:
     except NonRationalCenterError as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ArithmeticError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -97,14 +97,13 @@ def constructive_shift(z: ZetaRational, n: int, l: Fraction) -> tuple[int, QPoly
     divisibility property, together with C."""
     l = Fraction(l)
     p = z.p
-    one_minus_t = QPoly([1, -1])
     den = z.denominator_poly()
     top = den - QPoly([0, 1]) * z.numerator  # (1 - t Z) * den
-    c, rem = top.divmod(one_minus_t)
-    if not rem.is_zero():
+    cs, d = top.to_ints()
+    cs = divide_binomial(cs, p, 1, 0)  # by 1 - t
+    if cs is None:
         raise ArithmeticError("Z(1) != 1: 1 - tZ not divisible by 1 - t")
     # divide away the factors below the threshold; must be exact
-    cs, d = c.to_ints()
     for (N, nu), m in z.denominator.items():
         if Fraction(-nu, N) >= l:
             continue

@@ -2,15 +2,19 @@
 
 Computes W = integral over p^(j1)Z_p x p^(j2)Z_p of
     |f(x,y)|^s |x|^(A s + a - 1) |y|^(B s + b - 1) |dx dy|
-as a ZetaRational.  The weight pairs (A,a), (B,b) accumulate the monomial
-factors produced by blowups, so the recursion mirrors an embedded
-resolution of f while staying entirely inside exact arithmetic.  This is
-the only class descent: one-variable integrals
-(`charts.integrate_univariate`) run through it with f free of y.
+as a ZetaRational; the weights (A,a), (B,b) collect the monomial factors
+of blowups, so the recursion mirrors an embedded resolution of f.  Each
+call sorts the p^2 classes mod p by kind and integrates each kind once: a
+class where f is a unit or smooth counts towards a product of
+per-coordinate measures; any other class is a subproblem, reached by one
+affine substitution (`MultiPoly.subs`) or, at the origin, by the blowup
+charts.  Equal subproblems run once, scaled by their count.  This is the
+only class descent: `charts.integrate_univariate` runs it on f free of y.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .context import PadicContext
@@ -44,66 +48,56 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
     if depth > MAX_DEPTH:
         raise ArithmeticError("integration recursion depth exceeded")
     xn, yn = f.vars
-    tshift = 0
-    scale = Fraction(1)
+    tshift = j1 * A + j2 * B
+    scale = Fraction(1, p ** (j1 * a + j2 * b))
     if j1 or j2:
-        f = f.subs({xn: p**j1 * MultiPoly.var(f.vars, xn),
-                    yn: p**j2 * MultiPoly.var(f.vars, yn)})
-        tshift += j1 * A + j2 * B
-        scale *= Fraction(1, p ** (j1 * a + j2 * b))
+        f = f.subs({xn: (0, p**j1), yn: (0, p**j2)})
+    # divide out the content p^w (a factor t^w) and the axis factor
+    # x^ex y^ey (absorbed into the weights)
     w = f.content_power(p)
-    if w:
-        f = f.divide_scalar(p**w)
-        tshift += w
-    # absorb coordinate-axis factors of f into the weights
-    for name in (xn, yn):
-        e = 0
-        while f.divisible_by_var(name):
-            f = f.divide_var_power(name, 1)
-            e += 1
-        if e:
-            if name == xn:
-                A += e
-            else:
-                B += e
-    fx = f.derivative(xn)
-    fy = f.derivative(yn)
-    ov = one_var_integral(p, 1, 1, 1)
-    total = ZetaRational.zero(p)
+    ex = min(i for i, _ in f.terms)
+    ey = min(j for _, j in f.terms)
+    if w or ex or ey:
+        f = MultiPoly(f.vars, {(i - ex, j - ey): c / p**w for (i, j), c in f.terms.items()})
+    A, B = A + ex, B + ey
+    fx, fy = f.derivative(xn), f.derivative(yn)
+    # Sort the classes (c, d) mod p by kind: `factors` counts products of
+    # per-coordinate measures, `subproblems` the classes that descend, keyed
+    # by the arguments of the recursive call and the k of its scale p^-k.
+    factors: Counter = Counter()
+    subproblems: Counter = Counter()
     for c in range(p):
         for d in range(p):
-            mx = ZetaRational.const(p, Fraction(1, p)) if c else axis_integral(p, 1, A, a)
-            my = ZetaRational.const(p, Fraction(1, p)) if d else axis_integral(p, 1, B, b)
+            kx = "unit" if c else "x"
+            ky = "unit" if d else "y"
             if f.eval_int((c, d)) % p != 0:
-                total = total + mx * my
-                continue
-            if fy.eval_int((c, d)) % p != 0 and (d != 0 or (B, b) == (0, 1)):
-                total = total + mx * ov
-                continue
-            if fx.eval_int((c, d)) % p != 0 and (c != 0 or (A, a) == (0, 1)):
-                total = total + ov * my
-                continue
-            if c != 0 and d != 0:
-                g = f.subs({xn: c + p * MultiPoly.var(f.vars, xn),
-                            yn: d + p * MultiPoly.var(f.vars, yn)})
-                total = total + _W(g, p, 0, 1, 0, 1, 0, 0, depth + 1).scale(
-                    Fraction(1, p * p)
-                )
-            elif c != 0:  # d == 0: keep the y-weight, translate x
-                g = f.subs({xn: c + p * MultiPoly.var(f.vars, xn)})
-                total = total + _W(g, p, 0, 1, B, b, 0, 1, depth + 1).scale(
-                    Fraction(1, p)
-                )
-            elif d != 0:  # c == 0: keep the x-weight, translate y
-                g = f.subs({yn: d + p * MultiPoly.var(f.vars, yn)})
-                total = total + _W(g, p, A, a, 0, 1, 1, 0, depth + 1).scale(
-                    Fraction(1, p)
-                )
+                factors[kx, ky] += 1
+            elif fy.eval_int((c, d)) % p != 0 and (d != 0 or (B, b) == (0, 1)):
+                factors[kx, "ov"] += 1
+            elif fx.eval_int((c, d)) % p != 0 and (c != 0 or (A, a) == (0, 1)):
+                factors["ov", ky] += 1
+            elif c or d:
+                # a unit coordinate is translated by c + p x and loses its
+                # weight; a zero coordinate keeps its weight on pZ_p
+                g = f.subs({name: (v, p) for name, v in ((xn, c), (yn, d)) if v})
+                wx = (0, 1) if c else (A, a)
+                wy = (0, 1) if d else (B, b)
+                subproblems[(g, *wx, *wy, int(not c), int(not d), bool(c) + bool(d))] += 1
             else:
                 # origin: blow up.  Chart x = u, y = u v covers |y| <= |x|,
                 # chart x = u v, y = v the rest; both restricted to pZ_p^2.
                 ga, mu = blowup_chart_a(f, xn, yn)
                 gb, _ = blowup_chart_b(f, xn, yn)
-                total = total + _W(ga, p, A + B + mu, a + b, B, b, 1, 0, depth + 1)
-                total = total + _W(gb, p, A, a, A + B + mu, a + b, 1, 1, depth + 1)
-    return total.scale(scale).shift(tshift)
+                subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0] += 1
+                subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0] += 1
+    # Subproblems go first: `reduced()` cancels factors in the order they
+    # entered the sum, and this order keeps the JSON of a class-by-class
+    # sum (products first changes it, e.g. for x^2+y^5).
+    total = ZetaRational.zero(p)
+    for (g, *args, k), n in subproblems.items():
+        total = total + _W(g, p, *args, depth + 1).scale(Fraction(n, p**k))
+    measure = {"x": axis_integral(p, 1, A, a), "y": axis_integral(p, 1, B, b),
+               "unit": ZetaRational.const(p, Fraction(1, p)), "ov": one_var_integral(p, 1, 1, 1)}
+    for (kx, ky), n in factors.items():
+        total = total + (measure[kx] * measure[ky]).scale(n)
+    return total.scale(scale).shift(tshift + w)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .context import vp
 
@@ -120,24 +121,23 @@ class MultiPoly:
         return MultiPoly(self.vars, out)
 
     def subs(self, values: dict) -> "MultiPoly":
-        """Substitute polynomials (or rationals) for some variables."""
-        out = MultiPoly.const(self.vars, 0)
-        for e, c in self.terms.items():
-            term = MultiPoly.const(self.vars, c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                name = self.vars[i]
-                if name in values:
-                    v = values[name]
-                    if isinstance(v, (int, Fraction)):
-                        term = term * (Fraction(v) ** k)
-                    else:
-                        term = term * v**k
-                else:
-                    term = term * MultiPoly.var(self.vars, name) ** k
-            out = out + term
-        return out
+        """Affine substitution: values maps a variable name to (c, s), and
+        the variable becomes c + s*name.  Each power of a substituted
+        variable expands term by term with binomial coefficients."""
+        subst = [(self.vars.index(name), c, s) for name, (c, s) in values.items()]
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e, coef in self.terms.items():
+            parts = [(e, coef)]
+            for i, c, s in subst:
+                k = e[i]
+                parts = [
+                    (e2[:i] + (m,) + e2[i + 1 :], c2 * (comb(k, m) * c ** (k - m) * s**m))
+                    for e2, c2 in parts
+                    for m in range(0 if c else k, k + 1)
+                ]
+            for e2, c2 in parts:
+                out[e2] = out.get(e2, 0) + c2
+        return MultiPoly(self.vars, out)
 
     def eval_int(self, point: tuple[int, ...]) -> int:
         """Evaluate at integer coordinates; requires integer coefficients."""
@@ -165,26 +165,6 @@ class MultiPoly:
             if w == 0:
                 return 0
         return w
-
-    def divide_scalar(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly(self.vars, {e: a / c for e, a in self.terms.items()})
-
-    def divide_var_power(self, name: str, k: int) -> "MultiPoly":
-        """Exact division by name^k."""
-        i = self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] < k:
-                raise ValueError(f"not divisible by {name}^{k}")
-            e2 = list(e)
-            e2[i] -= k
-            out[tuple(e2)] = c
-        return MultiPoly(self.vars, out)
-
-    def divisible_by_var(self, name: str) -> bool:
-        i = self.vars.index(name)
-        return all(e[i] >= 1 for e in self.terms)
 
     def coefficients_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
@@ -389,20 +369,24 @@ def tangent_cone_factors(f: MultiPoly, xname: str, yname: str):
 def blowup_chart_a(f: MultiPoly, xname: str, yname: str, tau0: Fraction = Fraction(0)) -> tuple["MultiPoly", int]:
     """Substitute x = u, y = u (v + tau0) and divide by u^mu.
 
-    The result is expressed in the same variable names (x as u, y as v).
-    Returns (strict transform, mu)."""
+    The result is expressed in the same variable names (x as u, y as v):
+    x^i y^j becomes x^(i+j-mu) y^j, and a center tau0 != 0 then translates
+    y by tau0.  Returns (strict transform, mu)."""
     mu = f.multiplicity_at_origin()
-    u = MultiPoly.var(f.vars, xname)
-    v = MultiPoly.var(f.vars, yname)
-    g = f.subs({xname: u, yname: u * (v + MultiPoly.const(f.vars, tau0))})
-    return g.divide_var_power(xname, mu), mu
+    g = _raise_exponent(f, f.vars.index(xname), f.vars.index(yname), mu)
+    if tau0:
+        g = g.subs({yname: (tau0, 1)})
+    return g, mu
 
 
 def blowup_chart_b(f: MultiPoly, xname: str, yname: str) -> tuple["MultiPoly", int]:
     """Substitute x = u v, y = v and divide by v^mu (the chart at the
-    vertical direction).  x plays the role of u, y the role of v."""
+    vertical direction): x^i y^j becomes x^i y^(i+j-mu), with x in the
+    role of u and y in the role of v."""
     mu = f.multiplicity_at_origin()
-    u = MultiPoly.var(f.vars, xname)
-    v = MultiPoly.var(f.vars, yname)
-    g = f.subs({xname: u * v, yname: v})
-    return g.divide_var_power(yname, mu), mu
+    return _raise_exponent(f, f.vars.index(yname), f.vars.index(xname), mu), mu
+
+
+def _raise_exponent(f: MultiPoly, i: int, k: int, mu: int) -> MultiPoly:
+    """f with the exponent e_i of every term replaced by e_i + e_k - mu."""
+    return MultiPoly(f.vars, {e[:i] + (e[i] + e[k] - mu,) + e[i + 1 :]: c for e, c in f.terms.items()})

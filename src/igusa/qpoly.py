@@ -120,14 +120,6 @@ class QPoly:
                     rem[k + j] -= c * b
         return QPoly(quot), QPoly(rem)
 
-    def gcd(self, other: "QPoly") -> "QPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.coeffs[-1])
-
     def truncated(self, k: int) -> Sequence[Fraction]:
         """First k + 1 coefficients, zero-padded."""
         cs = list(self.coeffs[: k + 1])

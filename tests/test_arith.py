@@ -22,17 +22,13 @@ from igusa.poly import parse_poly
 from igusa.counting import count_naive
 
 
-def test_qpoly_divmod_and_gcd():
+def test_qpoly_divmod():
     # (t^2 - 1) = (t - 1)(t + 1)
     a = QPoly([Fraction(-1), Fraction(0), Fraction(1)])
     b = QPoly([Fraction(-1), Fraction(1)])
     q, r = a.divmod(b)
     assert r.is_zero()
     assert q == QPoly([Fraction(1), Fraction(1)])
-    g = a.gcd(b)
-    assert g.degree == 1
-    assert a.divmod(g)[1].is_zero()
-    assert b.divmod(g)[1].is_zero()
 
 
 def test_negative_shift_raises():

@@ -121,6 +121,21 @@ def test_usage_errors(capsys):
     assert _run(capsys, "count", "-f", "x^(", "--p", "3", "-i", "1")[0] == 2
 
 
+def test_internal_error_exit_code(capsys):
+    # a repeated non-axis factor sends the descent past its depth limit
+    code = run(["divisibility", "-f", "(x+y)^2", "--p", "2", "-k", "2"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_bad_inputs_stay_usage_errors(capsys, tmp_path):
+    # arithmetic failures caused by the input are not internal errors
+    assert _run(capsys, "divisibility", "-f", "x*y+z^2", "--p", "2", "-k", "2", "--l=1/0")[0] == 2
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps({"p": 3, "numerator": [["1", "0"]], "denominator": []}))
+    assert _run(capsys, "poles", "--zeta", str(zfile))[0] == 2
+
+
 def test_fraction_inputs_are_exact(capsys, tmp_path):
     code, out = _run(
         capsys, "--json", "zeta", "--family", "xyzi", "--i", "3", "--p", "2"

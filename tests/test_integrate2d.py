@@ -1,15 +1,20 @@
 """Two-variable germ integrals cross-checked against solution counting."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from igusa import charts, integrate2d
+from igusa.charts import integrate_univariate
 from igusa.context import PadicContext
 from igusa.counting import verify_zeta_against_counts
+from igusa.families import zeta_sum_squares
 from igusa.integrate2d import zeta_two_var
 from igusa.poly import parse_poly
+from igusa.resolve import resolve_germ
 from igusa.zeta import eval_at_one, laurent_at, series_coeffs
 
 CORPUS = [
@@ -24,7 +29,8 @@ CORPUS = [
 
 
 # SHA-256 of json.dumps(zeta_two_var(f, PadicContext(p, 2)).to_json(),
-# sort_keys=True), recorded before the integer rational-function core
+# sort_keys=True); every digest was recorded before the code change that
+# the case guards
 GOLDEN = [
     ("y^2-x^3", 2, "fab357188f054e82f9b70b9b67d436cd2f452cf0dcfb28f9ccd3c1ef6a644a0a"),
     ("y^2-x^3", 3, "d78a3c4821bf1ad129ed3f4e10416e6117b5d43af48df13179d30623b6f0ec31"),
@@ -34,14 +40,94 @@ GOLDEN = [
     ("x*y*(x+y)+x^4", 3, "8a32b92e4b5d856d4404ef3feb29ad75d79f66f76accbffe00687bb3fbe61958"),
     ("x^2+y^2", 2, "6e00f5618509d14b39cb3c07f0137bc7677840a91eb366697f4146d39f11e2c4"),
     ("x^2+y^2", 3, "9ed484528089c19ca8638ef132000d35ca79030bfe9875a96763112327ff1a10"),
+    ("x^2+y^3", 2, "3138769dc0e3a676c4758582900085bc65e1a365fe4fb72e92d4d0cacf1ec25e"),
+    ("x^3-y^4", 2, "22fa0ddc3661916b5d4b365628cb89129ce05229d445a7181b2e9fd90b644616"),
 ]
+
+# the same digest of zeta_sum_squares(PadicContext(p, 2))[0], whose
+# unit-factor integrals run the descent on a polynomial free of y
+GOLDEN_SUM_SQUARES = [
+    (5, "1080712cd4e565cd5cd61a93951f45fee6198edd9e52c803bd9c205dc9e39a8b"),
+    (17, "de0ccf9ea3c5833914e079080f616e44830e0682d9c096c4c00ebe435a8d32d1"),
+]
+
+# digest of {"numerical_data": ..., "adjacency": ...} of resolve_germ(f);
+# both germs blow up at rational centers tau0 != 0
+GOLDEN_RESOLVE = [
+    ("y^2-x^3+x^2*y", "78de9532bc2ff94a313b82a0a15803c1ba24109952e20e2de2aa8443516bd42d"),
+    ("(y-2*x)^2-x^5", "2243f9e27c91a61b5fca484ac926c58c643cdc936de70239e205c2b228ca2648"),
+]
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("text, p, digest", GOLDEN, ids=[f"{t}-{p}" for t, p, _ in GOLDEN])
 def test_json_golden(text, p, digest):
     z = zeta_two_var(parse_poly(text, vars=("x", "y")), PadicContext(p, 2))
-    got = json.dumps(z.to_json(), sort_keys=True).encode()
-    assert hashlib.sha256(got).hexdigest() == digest
+    assert _digest(z.to_json()) == digest
+
+
+@pytest.mark.parametrize("p, digest", GOLDEN_SUM_SQUARES, ids=[str(p) for p, _ in GOLDEN_SUM_SQUARES])
+def test_sum_squares_json_golden(p, digest):
+    z, _ = zeta_sum_squares(PadicContext(p, 2))
+    assert _digest(z.to_json()) == digest
+
+
+@pytest.mark.parametrize("text, digest", GOLDEN_RESOLVE, ids=[t for t, _ in GOLDEN_RESOLVE])
+def test_resolve_golden(text, digest):
+    tree = resolve_germ(parse_poly(text, vars=("x", "y")))
+    data = {
+        "numerical_data": tree.numerical_data(),
+        "adjacency": sorted(sorted(e) for e in tree.adjacency),
+    }
+    assert _digest(data) == digest
+
+
+def _descent_calls(monkeypatch, compute):
+    """Run compute() with `_W` wrapped where it is bound; return the number
+    of recursive calls whose arguments repeat those of an earlier call by
+    the same parent.  Calls are numbered, since ids of finished frames are
+    reused."""
+    orig = integrate2d._W
+    calls = itertools.count()
+    stack: list[int] = []
+    children: dict[int, set] = {}
+    repeats = 0
+
+    def wrapper(f, p, A, a, B, b, j1, j2, depth):
+        nonlocal repeats
+        n = next(calls)
+        if stack:
+            siblings = children.setdefault(stack[-1], set())
+            key = (f, p, A, a, B, b, j1, j2)
+            repeats += key in siblings
+            siblings.add(key)
+        stack.append(n)
+        try:
+            return orig(f, p, A, a, B, b, j1, j2, depth)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(integrate2d, "_W", wrapper)
+    monkeypatch.setattr(charts, "_W", wrapper)
+    compute()
+    return repeats
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: zeta_two_var(parse_poly("y^2-x^5", vars=("x", "y")), PadicContext(3, 2)),
+        lambda: integrate_univariate(parse_poly("v^2+3", ("v",)), 0, PadicContext(3, 1)),
+        lambda: integrate_univariate(parse_poly("v^2+v+1", ("v",)), 0, PadicContext(3, 1)),
+    ],
+    ids=["y^2-x^5", "v^2+3", "v^2+v+1"],
+)
+def test_descent_integrates_each_subproblem_once_per_parent(monkeypatch, compute):
+    # equal sibling subproblems are integrated once and scaled by their count
+    assert _descent_calls(monkeypatch, compute) == 0
 
 
 @pytest.mark.parametrize("text", CORPUS)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igusa.poly import (
     MultiPoly,
@@ -121,3 +122,42 @@ def test_arithmetic_and_derivative():
 def test_eval_int():
     f = parse_poly("x*y+z^2")
     assert f.eval_int((2, 3, 1)) == 7
+
+
+def _value(f, point):
+    """f at a point with rational coordinates, term by term."""
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        term = c
+        for x, k in zip(point, e):
+            term *= Fraction(x) ** k
+        total += term
+    return total
+
+
+_exponents = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: sum(e) <= 6)
+_rationals = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    terms=st.dictionaries(_exponents, st.integers(-9, 9).filter(bool), min_size=1, max_size=6),
+    c=st.integers(-5, 5),
+    s=st.integers(-5, 5).filter(bool),
+    tau0=_rationals,
+    int_point=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    point=st.tuples(_rationals, _rationals),
+)
+def test_affine_substitution_and_charts(terms, c, s, tau0, int_point, point):
+    f = MultiPoly(("x", "y"), terms)
+    # x -> c + s x
+    i, j = int_point
+    assert _value(f.subs({"x": (c, s)}), int_point) == _value(f, (c + s * i, j))
+    u, v = point
+    # u^mu chart_a(f, tau0)(u, v) = f(u, u (v + tau0))
+    ga, mu = blowup_chart_a(f, "x", "y", tau0)
+    assert u**mu * _value(ga, point) == _value(f, (u, u * (v + tau0)))
+    # v^mu chart_b(f)(u, v) = f(u v, v)
+    gb, mu_b = blowup_chart_b(f, "x", "y")
+    assert mu_b == mu
+    assert v**mu * _value(gb, point) == _value(f, (u * v, v))
