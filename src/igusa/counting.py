@@ -85,19 +85,19 @@ def count_hensel(f: MultiPoly, p: int, i: int) -> int:
     return total
 
 
-def poincare_truncation(f: MultiPoly, p: int, imax: int, counter=count_hensel) -> PoincareSeries:
+def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
     """P(t) up to t^imax from direct counts: coefficient of t^i is
     M_i p^(-n i)."""
     n = f.nvars
-    coeffs = [Fraction(counter(f, p, i), p ** (n * i)) for i in range(imax + 1)]
+    coeffs = [Fraction(count_hensel(f, p, i), p ** (n * i)) for i in range(imax + 1)]
     return PoincareSeries(p, n, coeffs)
 
 
 def verify_zeta_against_counts(
-    z: ZetaRational, f: MultiPoly, imax: int, counter=count_hensel
+    z: ZetaRational, f: MultiPoly, imax: int
 ) -> tuple[bool, list[int], list[int]]:
     """Compare the counts predicted by z with direct counting up to p^imax."""
     n = f.nvars
     predicted = poincare_from_zeta(z, n, imax).counts()
-    actual = [counter(f, z.p, i) for i in range(imax + 1)]
+    actual = [count_hensel(f, z.p, i) for i in range(imax + 1)]
     return predicted == actual, predicted, actual

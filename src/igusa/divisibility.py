@@ -46,20 +46,22 @@ def smallest_real_pole(z: ZetaRational) -> Fraction:
     return min(s0 for s0, _ in z.candidate_poles())
 
 
+def _shortfall(value: int | Fraction, i: int, n: int, l: Fraction, p: int) -> int:
+    """ceil((n + l) i) - v_p(value): how many more factors p the divisibility
+    bound asks of the nonzero i-th term value (M_i, or c_i p^(n i)) than it has."""
+    return ceil((n + l) * i) - vp(value, p)
+
+
 def check_divisibility(M: PoincareSeries, l: Fraction, a: int) -> DivisibilityReport:
     """Verify v_p(M_i) >= ceil((n+l)i - a) on the whole series; M_i = 0
     passes vacuously."""
     l = Fraction(l)
     n, p = M.n, M.p
-    counts = M.counts()
     violations = []
-    for i, m in enumerate(counts):
-        need = ceil((n + l) * i - a)
-        if m == 0 or need <= 0:
-            continue
-        if vp(m, p) < need:
-            violations.append({"i": i, "M_i": m, "needed": need,
-                               "v_p": vp(m, p)})
+    for i, m in enumerate(M.counts()):
+        if m and (short := _shortfall(m, i, n, l, p)) > a:
+            v = vp(m, p)
+            violations.append({"i": i, "M_i": m, "needed": short + v - a, "v_p": v})
     return DivisibilityReport(l=l, n=n, a_min=a,
                               checked_up_to=M.imax, violations=violations)
 
@@ -67,13 +69,7 @@ def check_divisibility(M: PoincareSeries, l: Fraction, a: int) -> DivisibilityRe
 def min_shift(M: PoincareSeries, l: Fraction) -> int:
     """Smallest integer a with no violations on the observed range."""
     l = Fraction(l)
-    n, p = M.n, M.p
-    best = 0
-    for i, m in enumerate(M.counts()):
-        if m == 0:
-            continue
-        best = max(best, ceil((n + l) * i) - vp(m, p))
-    return best
+    return max([0] + [_shortfall(m, i, M.n, l, M.p) for i, m in enumerate(M.counts()) if m])
 
 
 def divisibility_property_check(coeffs, n: int, l: Fraction, p: int, k: int) -> bool:
@@ -81,12 +77,8 @@ def divisibility_property_check(coeffs, n: int, l: Fraction, p: int, k: int) -> 
     t^k: c_i * p^(n i) is an integer multiple of p^ceil((n+l)i)."""
     l = Fraction(l)
     for i, c in enumerate(coeffs[: k + 1]):
-        c = Fraction(c)
-        if c == 0:
-            continue
-        if vp(c, p) + n * i < ceil((n + l) * i):
-            return False
-        if (c * Fraction(p) ** (n * i)).denominator != 1:
+        m = Fraction(c) * Fraction(p) ** (n * i)
+        if m and (m.denominator != 1 or _shortfall(m, i, n, l, p) > 0):
             return False
     return True
 
@@ -115,9 +107,6 @@ def constructive_shift(z: ZetaRational, n: int, l: Fraction) -> tuple[int, QPoly
                     "does not divide exactly"
                 )
     c = QPoly.from_ints(cs, d)
-    a = 0
-    for i, ci in enumerate(c.coeffs):
-        if ci == 0:
-            continue
-        a = max(a, ceil((n + l) * i) - n * i - vp(ci, p))
+    a = max([0] + [_shortfall(ci * Fraction(p) ** (n * i), i, n, l, p)
+                   for i, ci in enumerate(c.coeffs) if ci])
     return a, c

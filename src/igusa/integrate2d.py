@@ -76,9 +76,11 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 factors[kx, "ov"] += 1
             elif fx.eval_int((c, d)) % p != 0 and (c != 0 or (A, a) == (0, 1)):
                 factors["ov", ky] += 1
-            elif c or d:
+            elif c or d or (0, 0) in f.terms:
                 # a unit coordinate is translated by c + p x and loses its
-                # weight; a zero coordinate keeps its weight on pZ_p
+                # weight; a zero coordinate keeps its weight on pZ_p.  An
+                # origin class with f(0, 0) != 0 is no singular point to blow
+                # up: rescaling x, y by p removes a factor p from f(0, 0).
                 g = f.subs({name: (v, p) for name, v in ((xn, c), (yn, d)) if v})
                 wx = (0, 1) if c else (A, a)
                 wy = (0, 1) if d else (B, b)
@@ -90,14 +92,14 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 gb, _ = blowup_chart_b(f, xn, yn)
                 subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0] += 1
                 subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0] += 1
-    # Subproblems go first: `reduced()` cancels factors in the order they
-    # entered the sum, and this order keeps the JSON of a class-by-class
-    # sum (products first changes it, e.g. for x^2+y^5).
-    total = ZetaRational.zero(p)
-    for (g, *args, k), n in subproblems.items():
-        total = total + _W(g, p, *args, depth + 1).scale(Fraction(n, p**k))
+    # The sum's order is part of the output: `reduced()` cancels factors in
+    # the order they entered it, so reordering these loops changes the JSON
+    # (not the value) of some Z.
     measure = {"x": axis_integral(p, 1, A, a), "y": axis_integral(p, 1, B, b),
                "unit": ZetaRational.const(p, Fraction(1, p)), "ov": one_var_integral(p, 1, 1, 1)}
+    total = ZetaRational.zero(p)
     for (kx, ky), n in factors.items():
         total = total + (measure[kx] * measure[ky]).scale(n)
+    for (g, *args, k), n in subproblems.items():
+        total = total + _W(g, p, *args, depth + 1).scale(Fraction(n, p**k))
     return total.scale(scale).shift(tshift + w)

@@ -91,18 +91,6 @@ class QPoly:
             return self
         return QPoly([Fraction(0)] * k + list(self.coeffs))
 
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction or any ring element with +,*."""
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = x * 0 + c if not isinstance(x, (int, Fraction)) else Fraction(c)
-            else:
-                acc = acc * x + c
-        if acc is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
-        return acc
-
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")

@@ -8,6 +8,13 @@ Sums and cancellations work on a numerator as integer coefficients over
 one common denominator (`QPoly.to_ints`): multiplying by a factor is an
 O(deg) integer update (`times_binomials`), dividing by it exact top-down
 integer division (`divide_binomial`).
+
+Near a candidate pole s0, t = t0 exp(-U) with t0 = p^(-s0) and
+U = (s - s0) log p, so a polynomial sum c_i t^i has the closed-form
+expansion sum_k U^k sum_i c_i t0^i (-i)^k / k! (`u_expansion`).  Laurent
+data expand the numerator and each factor that way and combine the lists
+by truncated products and inverses; the real-pole test reads the
+numerator's value at t0 off its U^0 term.
 """
 
 from __future__ import annotations
@@ -124,16 +131,14 @@ class ZetaRational:
         )
         if mult == 0:
             return False
-        t0 = RadicalScalar.p_power(r.p, -s0)
-        val = r.numerator(t0)
-        if not val.is_zero():
+        if not u_expansion(r.numerator.coeffs, r.p, s0, 0)[0].is_zero():
             return True
         # numerator vanishes at t0: compare vanishing orders via Laurent data
         exp = laurent_at(r, s0)
         return exp.pole_order > 0
 
     def eval_at_one(self) -> Fraction:
-        num = self.numerator(Fraction(1))
+        num = sum(self.numerator.coeffs, Fraction(0))
         den = Fraction(1)
         for (N, nu), m in self.denominator.items():
             fval = 1 - Fraction(1, self.p**nu)
@@ -264,15 +269,11 @@ def series_coeffs(z: ZetaRational, imax: int) -> list[Fraction]:
     """Power-series coefficients of z up to t^imax."""
     cs = list(z.numerator.truncated(imax))
     for (N, nu), m in z.denominator.items():
+        w = Fraction(1, z.p**nu)
         for _ in range(m):
-            # multiply by 1 / (1 - p^(-nu) t^N) = sum p^(-k nu) t^(k N)
-            out = [Fraction(0)] * (imax + 1)
-            for k in range(0, imax // N + 1):
-                w = Fraction(1, z.p ** (k * nu))
-                for i in range(imax + 1 - k * N):
-                    if cs[i]:
-                        out[i + k * N] += cs[i] * w
-            cs = out
+            # divide by 1 - p^(-nu) t^N: the ascending recurrence of divide_binomial
+            for i in range(N, imax + 1):
+                cs[i] += w * cs[i - N]
     return cs
 
 
@@ -299,64 +300,38 @@ def poincare_from_zeta(z: ZetaRational, n: int, imax: int) -> PoincareSeries:
 # -- Laurent expansion --------------------------------------------------------
 
 
-class _USeries:
-    """Truncated power series in U over RadicalScalar, length K + 1."""
-
-    __slots__ = ("p", "K", "coeffs")
-
-    def __init__(self, p: int, K: int, coeffs) -> None:
-        self.p = p
-        self.K = K
-        cs = list(coeffs)[: K + 1]
-        one = RadicalScalar.from_rational(p, 1)
-        cs = [c if isinstance(c, RadicalScalar) else one * Fraction(c) for c in cs]
-        cs += [one * 0] * (K + 1 - len(cs))
-        self.coeffs = cs
-
-    def __mul__(self, other: "_USeries") -> "_USeries":
-        K = self.K
-        out = [RadicalScalar.from_rational(self.p, 0) for _ in range(K + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(K + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return _USeries(self.p, K, out)
-
-    def scale(self, c) -> "_USeries":
-        return _USeries(self.p, self.K, [a * c for a in self.coeffs])
-
-    def __add__(self, other: "_USeries") -> "_USeries":
-        return _USeries(
-            self.p, self.K, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def inverse(self) -> "_USeries":
-        if self.coeffs[0].is_zero():
-            raise ZeroDivisionError("not a unit series")
-        c0inv = self.coeffs[0].inverse()
-        out = [c0inv]
-        for k in range(1, self.K + 1):
-            s = RadicalScalar.from_rational(self.p, 0)
-            for j in range(1, k + 1):
-                s = s + self.coeffs[j] * out[k - j]
-            out.append(s * c0inv * Fraction(-1))
-        return _USeries(self.p, self.K, out)
-
-    def valuation(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        return self.K + 1
+def u_expansion(cs, p: int, s0: Fraction, K: int) -> list[RadicalScalar]:
+    """Coefficients of U^0, ..., U^K of the polynomial sum cs[i] t^i at
+    t = t0 exp(-U), t0 = p^(-s0): the coefficient of U^k is
+    sum_i cs[i] t0^i (-i)^k / k!."""
+    terms = [(RadicalScalar.p_power(p, -i * s0) * c, -i) for i, c in enumerate(cs) if c]
+    zero = RadicalScalar.from_rational(p, 0)
+    return [sum((w * Fraction(r**k, factorial(k)) for w, r in terms), zero) for k in range(K + 1)]
 
 
-def _exp_series(p: int, rate: Fraction, K: int) -> _USeries:
-    """exp(rate * U) truncated at U^K, rational coefficients."""
-    cs = [Fraction(rate) ** j / factorial(j) for j in range(K + 1)]
-    one = RadicalScalar.from_rational(p, 1)
-    return _USeries(p, K, [one * c for c in cs])
+def _mul_trunc(a: list, b: list, K: int) -> list:
+    """The product of two U-series, truncated at U^K.  Zero terms are
+    skipped, so a coefficient with no nonzero term keeps radical degree
+    M = 1, which `ResidueValue.to_json` emits."""
+    out = [RadicalScalar.from_rational(a[0].p, 0)] * (K + 1)
+    for i, x in enumerate(a[: K + 1]):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b[: K + 1 - i]):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _inv_trunc(a: list, K: int) -> list:
+    """1 / a as a U-series truncated at U^K; a[0] must be nonzero."""
+    c0inv = a[0].inverse()
+    out = [c0inv]
+    zero = RadicalScalar.from_rational(c0inv.p, 0)
+    for k in range(1, K + 1):
+        s = sum((a[j] * out[k - j] for j in range(1, min(k + 1, len(a)))), zero)
+        out.append(-s * c0inv)
+    return out
 
 
 class LaurentExpansion:
@@ -386,34 +361,14 @@ def laurent_at(z: ZetaRational, s0: Fraction, extra: int = 2) -> LaurentExpansio
     p = z.p
     m = sum(c for (N, nu), c in z.denominator.items() if Fraction(-nu, N) == s0)
     K = m + extra
-    # numerator as a series in U: t^i -> p^(-i s0) exp(-i U)
-    num = _USeries(p, K, [])
-    for i, c in enumerate(z.numerator.coeffs):
-        if c == 0:
-            continue
-        term = _exp_series(p, Fraction(-i), K).scale(
-            RadicalScalar.p_power(p, Fraction(-i) * s0) * c
-        )
-        num = num + term
-    unit = num
-    uval = 0
+    unit = u_expansion(z.numerator.coeffs, p, s0, K)
     for (N, nu), mult in z.denominator.items():
-        # factor 1 - p^(-nu) t^N = 1 - p^(N*(-s0) - nu) exp(-N U)
-        c = RadicalScalar.p_power(p, Fraction(-N) * s0 - nu)
-        fac = _exp_series(p, Fraction(-N), K).scale(c)
-        one = _USeries(p, K, [1])
-        fac = one + fac.scale(Fraction(-1))
-        v = fac.valuation()
-        if v > K:
-            raise ArithmeticError("denominator factor vanishes to high order")
-        shifted = _USeries(p, K, fac.coeffs[v:])
-        inv = shifted.inverse()
+        fac = u_expansion([1] + [0] * (N - 1) + [Fraction(-1, p**nu)], p, s0, K)
+        # a factor with -nu/N = s0 vanishes to order 1 in U: divide out that U
+        inv = _inv_trunc(fac[1:] if fac[0].is_zero() else fac, K)
         for _ in range(mult):
-            unit = unit * inv
-            uval += v
-    # unit / U^uval; numerator vanishing lowers the actual pole order
-    nv = unit.valuation()
-    pole_order = max(uval - nv, 0)
-    start = uval - pole_order
-    coeffs = unit.coeffs[start:] if start <= unit.K else []
-    return LaurentExpansion(p, s0, pole_order, list(coeffs))
+            unit = _mul_trunc(unit, inv, K)
+    # unit / U^m; numerator vanishing lowers the actual pole order
+    nv = next((i for i, c in enumerate(unit) if not c.is_zero()), K + 1)
+    pole_order = max(m - nv, 0)
+    return LaurentExpansion(p, s0, pole_order, unit[m - pole_order:])

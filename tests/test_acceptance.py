@@ -65,7 +65,7 @@ def test_criterion_1_xy_zi_formula_vs_counting_oracle():
         kmax = 4 if p ** 12 <= 10 ** 8 else 3
         f = parse_poly(f"x*y+z^{i}")
         ok_h, pred, act = verify_zeta_against_counts(z, f, kmax)
-        ok_n, _, _ = verify_zeta_against_counts(z, f, 3, counter=count_naive)
+        ok_n = pred[:4] == [count_naive(f, p, k) for k in range(4)]
         if not (ok_h and ok_n):
             failures.append((i, p, pred, act))
     _criterion(1, not failures, "xy+z^i vs brute force and Hensel counts")
