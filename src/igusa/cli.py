@@ -1,8 +1,13 @@
 """Command-line front end: counting, zeta functions, resolution, reports.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 unsupported input (e.g. a non-rational blowup center), 4 internal
-error (an ArithmeticError such as an exceeded recursion depth).
+`count --mode hensel`, `poincare`, `verify` and `divisibility` take their
+counts M_0..M_k from one level-by-level Hensel pass; `count --mode naive`
+enumerates every point mod p^i.
+
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (bad
+arguments, a level below 0, a malformed zeta or chart file), 3
+unsupported input (e.g. a non-rational blowup center), 4 internal error
+(an ArithmeticError such as an exceeded recursion depth).
 """
 
 from __future__ import annotations
@@ -42,12 +47,16 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"bad fraction {text!r}") from e
 
 
-def _load_zeta(path: str) -> ZetaRational:
+def _load_json(path: str, parse):
+    """parse() of the JSON in path; a file that does not fit the schema is
+    a usage error."""
     with open(path) as fh:
         try:
-            return ZetaRational.from_json(json.load(fh))
+            return parse(json.load(fh))
         except ZeroDivisionError as e:
             raise UsageError(f"zero denominator in {path}") from e
+        except (KeyError, TypeError) as e:
+            raise UsageError(f"malformed file {path}: {e!r}") from e
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -86,8 +95,9 @@ def cmd_zeta(args) -> int:
         raise UsageError("give exactly one of --family or --charts")
     p = args.p
     if args.charts:
-        with open(args.charts) as fh:
-            cells = [ChartCell.from_json(d) for d in json.load(fh)]
+        cells = _load_json(args.charts, lambda d: [ChartCell.from_json(c) for c in d])
+        if not cells:
+            raise UsageError(f"no chart cells in {args.charts}")
         ctx = PadicContext(p, cells[0].n)
         z = zeta_from_charts(cells, ctx)
     elif args.family == "sum-squares":
@@ -127,7 +137,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_laurent(args) -> int:
-    z = _load_zeta(args.zeta)
+    z = _load_json(args.zeta, ZetaRational.from_json)
     s0 = _fraction(args.s0)
     exp = laurent_at(z, s0, extra=max(args.m, 2))
     coeffs = {}
@@ -142,7 +152,7 @@ def cmd_laurent(args) -> int:
 
 
 def cmd_poles(args) -> int:
-    z = _load_zeta(args.zeta).reduced()
+    z = _load_json(args.zeta, ZetaRational.from_json).reduced()
     chi = CharacterSpec(args.chi_order)
     cands = []
     for (N, nu), m in sorted(z.denominator.items()):
@@ -158,7 +168,7 @@ def cmd_poles(args) -> int:
 
 def cmd_verify(args) -> int:
     f = parse_poly(args.f)
-    z = _load_zeta(args.zeta)
+    z = _load_json(args.zeta, ZetaRational.from_json)
     if z.p != args.p:
         raise UsageError("--p does not match the zeta file")
     ok, predicted, actual = verify_zeta_against_counts(z, f, args.k)

@@ -1,9 +1,14 @@
-"""Counting solutions of f = 0 mod p^i, naively and by Hensel descent."""
+"""Counting solutions of f = 0 mod p^i, naively and by one Hensel pass.
+
+Both evaluate f with `_eval_mod`, square-and-multiply over numpy arrays.  The
+Hensel pass lifts the zeros mod p^(j-1) that are singular mod p by every digit
+vector times p^(j-1) and tests them mod p^j; a zero mod p with a unit partial
+derivative lifts to p^((n-1)(i-1)) zeros mod p^i (Hensel's lemma).
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -11,93 +16,92 @@ from .poly import MultiPoly
 from .zeta import PoincareSeries, ZetaRational, poincare_from_zeta
 
 NAIVE_BUDGET = 10**8
+_BLOCK = 4096  # lifted points per block of the Hensel pass; bounds its memory
+
+
+def _eval_mod(f: MultiPoly, coords, m: int):
+    """f mod m at integer arrays coords (one per variable, broadcast
+    together); int64 arrays need m <= 2^31 so that products fit."""
+    xs = [x % m for x in coords]
+    total = 0
+    for e, c in f.terms.items():
+        term = c.numerator % m
+        for base, k in zip(xs, e):
+            while k:
+                if k & 1:
+                    term = term * base % m
+                k >>= 1
+                if k:
+                    base = base * base % m
+        total = (total + term) % m
+    return total
 
 
 def count_naive(f: MultiPoly, p: int, i: int, budget: int = NAIVE_BUDGET) -> int:
     """Count solutions of f = 0 mod p^i over (Z/p^i)^n by enumeration."""
+    if i < 0:
+        raise ValueError(f"level {i} < 0")
     if i == 0:
         return 1
     n = f.nvars
     m = p**i
-    total_points = m**n
-    if total_points > budget:
-        raise ValueError(f"p^(n*i) = {total_points} exceeds budget {budget}")
+    if m**n > budget:
+        raise ValueError(f"p^(n*i) = {m**n} exceeds budget {budget}")
     if m > 2**31:
         raise ValueError(f"p^i = {m} overflows int64 products")
     if not f.coefficients_integer():
         raise ValueError("integer coefficients required")
-    return _count_naive_numpy(f, m, n)
-
-
-def _count_naive_numpy(f: MultiPoly, m: int, n: int) -> int:
     grids = np.meshgrid(*([np.arange(m, dtype=np.int64)] * n), indexing="ij", sparse=True)
-    total = np.zeros((1,) * n, dtype=np.int64)
-    for e, c in f.terms.items():
-        term = np.int64(c.numerator % m)
-        for g, k in zip(grids, e):
-            if k:
-                gk = np.ones_like(g)
-                base = g % m
-                kk = k
-                while kk:
-                    if kk & 1:
-                        gk = (gk * base) % m
-                    base = (base * base) % m
-                    kk >>= 1
-                term = (term * gk) % m
-        total = (total + term) % m
+    values = np.asarray(_eval_mod(f, grids, m))
     # variables missing from f leave broadcast dimensions of size 1
-    zeros = int(np.count_nonzero(total == 0))
-    return zeros * (m**n // total.size)
+    return int(np.count_nonzero(values == 0)) * (m**n // values.size)
 
 
 def count_hensel(f: MultiPoly, p: int, i: int) -> int:
-    """Count solutions mod p^i using smooth-point lifting.
-
-    Classes mod p^j where f has a unit partial derivative contribute
-    p^((n-1)(i-j)) without further enumeration; singular classes are split.
-    """
-    if i == 0:
-        return 1
-    if not f.coefficients_integer():
-        raise ValueError("integer coefficients required")
-    n = f.nvars
-    derivs = [f.derivative(v) for v in f.vars]
-
-    def descend(point: tuple[int, ...], j: int) -> int:
-        pj = p**j
-        if f.eval_int(point) % pj != 0:
-            return 0
-        if j == i:
-            return 1
-        if any(d.eval_int(point) % p != 0 for d in derivs):
-            return p ** ((n - 1) * (i - j))
-        total = 0
-        step = pj
-        for delta in product(range(p), repeat=n):
-            lifted = tuple(a + d * step for a, d in zip(point, delta))
-            total += descend(lifted, j + 1)
-        return total
-
-    total = 0
-    for pt in product(range(p), repeat=n):
-        total += descend(pt, 1)
-    return total
+    """M_i, the number of solutions of f = 0 mod p^i, from the Hensel pass."""
+    return poincare_truncation(f, p, i).counts()[i]
 
 
 def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
-    """P(t) up to t^imax from direct counts: coefficient of t^i is
-    M_i p^(-n i)."""
-    n = f.nvars
-    coeffs = [Fraction(count_hensel(f, p, i), p ** (n * i)) for i in range(imax + 1)]
-    return PoincareSeries(p, n, coeffs)
+    """P(t) up to t^imax from the counts M_0..M_imax of one Hensel pass:
+    coefficient of t^i is M_i p^(-n i)."""
+    if imax < 0:
+        raise ValueError(f"level {imax} < 0")
+    if not f.coefficients_integer():
+        raise ValueError("integer coefficients required")
+    n, q = f.nvars, p**f.nvars
+    dtype = np.int64 if p**imax <= 2**31 else object
+    counts = [1] + [0] * imax
+    pts = np.zeros((1, n), dtype)  # the zeros mod p^(j-1) that are singular mod p
+    for j in range(1, imax + 1):
+        kept, lifts = [], len(pts) * q
+        for lo in range(0, lifts, _BLOCK):
+            row, d = np.divmod(np.arange(lo, min(lo + _BLOCK, lifts)), q)
+            digits = (d[:, None] // p ** np.arange(n) % p).astype(dtype)
+            block = pts[row] + digits * p ** (j - 1)
+            block = block[np.broadcast_to(_eval_mod(f, block.T, p**j) == 0, len(block))]
+            if j == 1:
+                # lifts of a point singular mod p stay singular mod p
+                smooth = np.zeros(len(block), dtype=bool)
+                for v in f.vars:
+                    smooth |= _eval_mod(f.derivative(v), block.T, p) != 0
+                s = int(np.count_nonzero(smooth))
+                for i in range(1, imax + 1):
+                    counts[i] += s * p ** ((n - 1) * (i - 1))
+                block = block[~smooth]
+            counts[j] += len(block)
+            if j < imax:
+                kept.append(block)
+        if not kept:
+            break
+        pts = np.concatenate(kept)
+    return PoincareSeries(p, n, [Fraction(M, p ** (n * i)) for i, M in enumerate(counts)])
 
 
 def verify_zeta_against_counts(
     z: ZetaRational, f: MultiPoly, imax: int
 ) -> tuple[bool, list[int], list[int]]:
-    """Compare the counts predicted by z with direct counting up to p^imax."""
-    n = f.nvars
-    predicted = poincare_from_zeta(z, n, imax).counts()
-    actual = [count_hensel(f, z.p, i) for i in range(imax + 1)]
+    """Compare the counts predicted by z with Hensel counts up to p^imax."""
+    predicted = poincare_from_zeta(z, f.nvars, imax).counts()
+    actual = poincare_truncation(f, z.p, imax).counts()
     return predicted == actual, predicted, actual

@@ -59,7 +59,7 @@ def _binomial_cases(draw):
     return p, N, nu, num
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_binomial_cases())
 def test_binomial_kernels_match_qpoly(case):
     p, N, nu, num = case

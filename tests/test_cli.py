@@ -5,6 +5,8 @@ import json
 import pytest
 
 from igusa.cli import run
+from igusa.context import PadicContext
+from igusa.families import zeta_xy_zi
 
 
 def _run(capsys, *argv):
@@ -144,3 +146,47 @@ def test_fraction_inputs_are_exact(capsys, tmp_path):
     zfile.write_text(out)
     code, out = _run(capsys, "laurent", "--zeta", str(zfile), "--s0=-4/3", "-m", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-f", "x*y", "--p", "3", "-i", "-1", "--mode", "hensel"),
+        ("count", "-f", "x*y", "--p", "3", "-i", "-1", "--mode", "naive"),
+        ("poincare", "-f", "x*y", "--p", "3", "-k", "-1"),
+        ("verify", "-f", "x*y+z^2", "--zeta", "ZETA", "--p", "3", "-k", "-1"),
+        ("divisibility", "-f", "x*y+z^2", "--p", "2", "-k", "-1", "--l=-3/2"),
+    ],
+    ids=["count-hensel", "count-naive", "poincare", "verify", "divisibility"],
+)
+def test_negative_level_is_usage_error(capsys, tmp_path, argv):
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps(zeta_xy_zi(PadicContext(3, 3), 2).to_json()))
+    assert run([str(zfile) if a == "ZETA" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level -1 < 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "cmd, content",
+    [
+        ("zeta", []),
+        ("zeta", [{"k": 0, "box": [0, 0]}]),
+        ("zeta", {"k": 0}),
+        ("poles", {"p": 3, "denominator": []}),
+        ("verify", {"p": 3, "numerator": [["1", "1"]]}),
+    ],
+    ids=["no-cells", "cell-without-monomials", "cells-not-a-list",
+         "zeta-without-numerator", "zeta-without-denominator"],
+)
+def test_malformed_files_are_usage_errors(capsys, tmp_path, cmd, content):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        "zeta": ("zeta", "--charts", str(path), "--p", "3"),
+        "poles": ("poles", "--zeta", str(path)),
+        "verify": ("verify", "-f", "x", "--zeta", str(path), "--p", "3", "-k", "2"),
+    }[cmd]
+    assert run(list(argv)) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")

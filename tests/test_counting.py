@@ -1,8 +1,11 @@
 """Brute-force and Hensel-descent solution counting mod p^i."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igusa.counting import (
+    _eval_mod,
     count_hensel,
     count_naive,
     poincare_truncation,
@@ -10,7 +13,7 @@ from igusa.counting import (
 )
 from igusa.context import PadicContext
 from igusa.families import zeta_xy_zi
-from igusa.poly import parse_poly
+from igusa.poly import MultiPoly, parse_poly
 from igusa.zeta import one_var_integral
 
 
@@ -87,3 +90,52 @@ def test_verify_detects_wrong_pairing():
     ok, predicted, actual = verify_zeta_against_counts(z, parse_poly("x*y+z^3"), 3)
     assert not ok
     assert predicted != actual
+
+
+def test_verify_xy_z2_to_p7():
+    z = zeta_xy_zi(PadicContext(3, 3), 2)
+    ok, predicted, actual = verify_zeta_against_counts(z, parse_poly("x*y+z^2"), 7)
+    assert ok
+    assert len(actual) == 8
+
+
+# naive points per (p, i) in the property test: every pair but p = 5, i = 3
+# in three variables
+_PROPERTY_BUDGET = 2 * 10**5
+
+
+@st.composite
+def _small_polys(draw):
+    """Integer polynomials in 2 or 3 variables with up to 4 terms of
+    exponents <= 3; half are g^2 h, so non-reduced ones are drawn too."""
+    names = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    terms = st.dictionaries(exps, st.integers(-6, 6).filter(bool), min_size=1, max_size=4)
+    f = MultiPoly(names, draw(terms))
+    if draw(st.booleans()):
+        f = f * f * MultiPoly(names, draw(terms))
+    return f
+
+
+@settings(max_examples=120)
+@given(_small_polys())
+def test_hensel_matches_naive_on_random_polynomials(f):
+    for p in (2, 3, 5):
+        levels = [i for i in range(4) if p ** (f.nvars * i) <= _PROPERTY_BUDGET]
+        naive = [count_naive(f, p, i) for i in levels]
+        assert [count_hensel(f, p, i) for i in levels] == naive, (f, p)
+
+
+@settings(max_examples=200)
+@given(
+    f=_small_polys(),
+    rows=st.lists(st.tuples(*[st.integers(-(10**6), 10**6)] * 3), min_size=1, max_size=8),
+    m=st.integers(1, 2**31),
+    big_m=st.integers(2**31, 10**30),
+)
+def test_eval_mod_matches_eval_int(f, rows, m, big_m):
+    pts = [row[: f.nvars] for row in rows]
+    for modulus, dtype in ((m, np.int64), (big_m, object)):
+        values = _eval_mod(f, np.array(pts, dtype=dtype).T, modulus)
+        got = np.broadcast_to(values, len(pts))
+        assert [int(v) for v in got] == [f.eval_int(pt) % modulus for pt in pts]

@@ -1,7 +1,6 @@
 """The divisibility law for solution counts M_i."""
 
 from fractions import Fraction
-from functools import lru_cache
 
 from igusa.context import PadicContext
 from igusa.counting import count_naive, poincare_truncation
@@ -16,12 +15,6 @@ from igusa.families import zeta_sum_squares, zeta_xy_zi
 from igusa.poly import parse_poly
 from igusa.qpoly import QPoly
 from igusa.zeta import PoincareSeries, ZetaRational, one_var_integral, series_coeffs
-
-
-@lru_cache(maxsize=None)
-def _xy_z2_truncation(p):
-    """poincare_truncation(x*y+z^2, p, 6), shared by the tests that read it."""
-    return poincare_truncation(parse_poly("x*y+z^2"), p, 6)
 
 
 def test_smallest_real_pole_xy_z2():
@@ -40,7 +33,7 @@ def test_smallest_real_pole_inert_circle():
 
 def test_check_divisibility_xy_z2():
     for p in (2, 3):
-        M = _xy_z2_truncation(p)
+        M = poincare_truncation(parse_poly("x*y+z^2"), p, 6)
         a = min_shift(M, Fraction(-3, 2))
         report = check_divisibility(M, Fraction(-3, 2), a)
         assert report.ok
@@ -55,7 +48,7 @@ def test_check_divisibility_flat_counts():
 
 
 def test_check_divisibility_detects_wrong_l():
-    M = _xy_z2_truncation(2)
+    M = poincare_truncation(parse_poly("x*y+z^2"), 2, 6)
     report = check_divisibility(M, Fraction(-1), 0)
     assert not report.ok
     assert report.violations
@@ -63,7 +56,7 @@ def test_check_divisibility_detects_wrong_l():
 
 def test_min_shift_is_minimal():
     for p in (2, 3):
-        M = _xy_z2_truncation(p)
+        M = poincare_truncation(parse_poly("x*y+z^2"), p, 6)
         a = min_shift(M, Fraction(-3, 2))
         assert check_divisibility(M, Fraction(-3, 2), a).ok
         if a > 0:
@@ -127,7 +120,7 @@ def test_constructive_shift_xy_z2():
     for p in (2, 3):
         z = zeta_xy_zi(PadicContext(p, 3), 2)
         a, C = constructive_shift(z, 3, Fraction(-3, 2))
-        M = _xy_z2_truncation(p)
+        M = poincare_truncation(parse_poly("x*y+z^2"), p, 6)
         assert check_divisibility(M, Fraction(-3, 2), a).ok
 
 

@@ -139,7 +139,7 @@ _exponents = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: su
 _rationals = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     terms=st.dictionaries(_exponents, st.integers(-9, 9).filter(bool), min_size=1, max_size=6),
     c=st.integers(-5, 5),
