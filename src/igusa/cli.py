@@ -5,7 +5,8 @@ counts M_0..M_k from one level-by-level Hensel pass; `count --mode naive`
 enumerates every point mod p^i.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error (bad
-arguments, a level below 0, a malformed zeta or chart file), 3
+arguments, a level below 0, a malformed zeta or chart file, such as a
+zeta file with p not prime or a factor with N < 1 or nu < 1), 3
 unsupported input (e.g. a non-rational blowup center), 4 internal error
 (an ArithmeticError such as an exceeded recursion depth).
 """
@@ -55,7 +56,7 @@ def _load_json(path: str, parse):
             return parse(json.load(fh))
         except ZeroDivisionError as e:
             raise UsageError(f"zero denominator in {path}") from e
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise UsageError(f"malformed file {path}: {e!r}") from e
 
 

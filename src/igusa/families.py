@@ -5,13 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .charts import integrate_univariate
 from .context import PadicContext, vp
 from .integrate2d import zeta_two_var
 from .poly import MultiPoly, parse_poly
 from .qpoly import QPoly
 from .radical import RadicalScalar, ResidueValue
-from .zeta import ZetaRational, laurent_at, one_var_integral
+from .zeta import ZetaRational, laurent_at
 
 
 class PoleSet:
@@ -24,14 +23,8 @@ class PoleSet:
 
 
 def zeta_sum_squares(ctx: PadicContext):
-    """Zeta function of x^2 + y^2 and its Laurent data at s = -1.
-
-    One blowup splits Z_p^2 into |y| <= |x| and |x| < |y|; each piece is a
-    monomial integral times a unit-factor integral of |1+v^2|."""
-    p = ctx.p
-    v = parse_poly("1+v^2", ("v",))
-    inner = integrate_univariate(v, 0, ctx) + integrate_univariate(v, 1, ctx)
-    z = (one_var_integral(p, 0, 2, 2) * inner).reduced()
+    """Zeta function of x^2 + y^2 and its Laurent data at s = -1."""
+    z = zeta_two_var(parse_poly("x^2+y^2"), ctx)
     exp = laurent_at(z, Fraction(-1))
     laurent = [(Fraction(-1), exp.b(exp.pole_order))]
     return z, laurent

@@ -12,9 +12,10 @@ integer division (`divide_binomial`).
 Near a candidate pole s0, t = t0 exp(-U) with t0 = p^(-s0) and
 U = (s - s0) log p, so a polynomial sum c_i t^i has the closed-form
 expansion sum_k U^k sum_i c_i t0^i (-i)^k / k! (`u_expansion`).  Laurent
-data expand the numerator and each factor that way and combine the lists
-by truncated products and inverses; the real-pole test reads the
-numerator's value at t0 off its U^0 term.
+data are one truncated division of two such lists: the numerator's by the
+expanded denominator product's, less the U^m it vanishes to at a pole of
+multiplicity m.  The real-pole test reads the numerator's value at t0 off
+its U^0 term.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd, lcm
 
+from .context import is_prime
 from .qpoly import QPoly
 from .radical import RadicalScalar, ResidueValue
 
@@ -162,8 +164,14 @@ class ZetaRational:
 
     @classmethod
     def from_json(cls, data: dict) -> "ZetaRational":
+        """Raises ValueError unless p is prime and every factor has
+        N >= 1 and nu >= 1."""
+        if not is_prime(data["p"]):
+            raise ValueError(f"p = {data['p']} is not prime")
         num = QPoly([Fraction(int(a), int(b)) for a, b in data["numerator"]])
         den = Counter((f["N"], f["nu"]) for f in data["denominator"])
+        if any(N < 1 or nu < 1 for N, nu in den):
+            raise ValueError("need N >= 1 and nu >= 1 in every denominator factor")
         return cls(data["p"], num, den)
 
     def __eq__(self, other: object) -> bool:
@@ -309,28 +317,15 @@ def u_expansion(cs, p: int, s0: Fraction, K: int) -> list[RadicalScalar]:
     return [sum((w * Fraction(r**k, factorial(k)) for w, r in terms), zero) for k in range(K + 1)]
 
 
-def _mul_trunc(a: list, b: list, K: int) -> list:
-    """The product of two U-series, truncated at U^K.  Zero terms are
-    skipped, so a coefficient with no nonzero term keeps radical degree
-    M = 1, which `ResidueValue.to_json` emits."""
-    out = [RadicalScalar.from_rational(a[0].p, 0)] * (K + 1)
-    for i, x in enumerate(a[: K + 1]):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b[: K + 1 - i]):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _inv_trunc(a: list, K: int) -> list:
-    """1 / a as a U-series truncated at U^K; a[0] must be nonzero."""
-    c0inv = a[0].inverse()
-    out = [c0inv]
-    zero = RadicalScalar.from_rational(c0inv.p, 0)
-    for k in range(1, K + 1):
-        s = sum((a[j] * out[k - j] for j in range(1, min(k + 1, len(a)))), zero)
-        out.append(-s * c0inv)
+def _div_trunc(a: list, b: list, K: int) -> list:
+    """a / b as a U-series truncated at U^K; b[0] must be nonzero."""
+    b0inv = b[0].inverse()
+    out = []
+    for k in range(K + 1):
+        s = a[k]
+        for j in range(1, k + 1):
+            s = s - b[j] * out[k - j]
+        out.append(s * b0inv)
     return out
 
 
@@ -361,13 +356,11 @@ def laurent_at(z: ZetaRational, s0: Fraction, extra: int = 2) -> LaurentExpansio
     p = z.p
     m = sum(c for (N, nu), c in z.denominator.items() if Fraction(-nu, N) == s0)
     K = m + extra
-    unit = u_expansion(z.numerator.coeffs, p, s0, K)
-    for (N, nu), mult in z.denominator.items():
-        fac = u_expansion([1] + [0] * (N - 1) + [Fraction(-1, p**nu)], p, s0, K)
-        # a factor with -nu/N = s0 vanishes to order 1 in U: divide out that U
-        inv = _inv_trunc(fac[1:] if fac[0].is_zero() else fac, K)
-        for _ in range(mult):
-            unit = _mul_trunc(unit, inv, K)
+    # D(t0 e^(-U)) vanishes to order exactly m: each factor with
+    # -nu/N = s0 is 1 - e^(-NU), and no other factor vanishes at t0
+    num = u_expansion(z.numerator.coeffs, p, s0, K)
+    den = u_expansion(z.denominator_poly().coeffs, p, s0, K + m)[m:]
+    unit = _div_trunc(num, den, K)
     # unit / U^m; numerator vanishing lowers the actual pole order
     nv = next((i for i, c in enumerate(unit) if not c.is_zero()), K + 1)
     pole_order = max(m - nv, 0)

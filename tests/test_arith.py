@@ -125,6 +125,9 @@ def test_laurent_single_factor():
         b1 = le.b(1)
         assert b1.logpow == 1
         assert b1.value.as_rational() == Fraction(p - 1, p)
+        # (1 - 1/p) / (1 - e^(-U)) = (1 - 1/p) (1/U + 1/2 + ...), also when
+        # the expansion stops at U^0
+        assert laurent_at(z, Fraction(-1), extra=0).b(0).value == Fraction(p - 1, 2 * p)
 
 
 def test_laurent_regular_point():

@@ -176,15 +176,21 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
         ("zeta", {"k": 0}),
         ("poles", {"p": 3, "denominator": []}),
         ("verify", {"p": 3, "numerator": [["1", "1"]]}),
+        ("laurent", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 0, "nu": 1}]}),
+        ("poles", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 0, "nu": 1}]}),
+        ("verify", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 0}]}),
+        ("poles", {"p": 4, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 1}]}),
     ],
     ids=["no-cells", "cell-without-monomials", "cells-not-a-list",
-         "zeta-without-numerator", "zeta-without-denominator"],
+         "zeta-without-numerator", "zeta-without-denominator",
+         "laurent-N-zero", "poles-N-zero", "verify-nu-zero", "poles-p-not-prime"],
 )
 def test_malformed_files_are_usage_errors(capsys, tmp_path, cmd, content):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(content))
     argv = {
         "zeta": ("zeta", "--charts", str(path), "--p", "3"),
+        "laurent": ("laurent", "--zeta", str(path), "--s0", "-1"),
         "poles": ("poles", "--zeta", str(path)),
         "verify": ("verify", "-f", "x", "--zeta", str(path), "--p", "3", "-k", "2"),
     }[cmd]
