@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .context import PadicContext
 from .integrate2d import _W
-from .poly import MultiPoly
+from .poly import MultiPoly, is_squarefree
 from .zeta import ZetaRational, one_var_integral
 
 
@@ -29,6 +29,9 @@ class ChartCell:
         return len(self.box)
 
     def __post_init__(self):
+        data = (self.k, self.ord_eps, self.ord_eta, *self.box, *(x for m in self.monomials for x in m))
+        if any(type(x) is not int for x in data):
+            raise ValueError("chart data must be integers")
         if self.k < 0 or self.k > self.n:
             raise ValueError("need 0 <= k <= n")
         if len(self.monomials) != self.k:
@@ -36,10 +39,8 @@ class ChartCell:
         for N, nu in self.monomials:
             if N < 1 or nu < 1:
                 raise ValueError("monomial data must be positive")
-        if self.ord_eta < 0:
-            raise ValueError("ord_eta must be >= 0")
-        if self.ord_eps < 0:
-            warnings.warn("ord_eps < 0: |eps| > 1 on this chart", stacklevel=2)
+        if min(self.box, default=0) < 0 or self.ord_eps < 0 or self.ord_eta < 0:
+            raise ValueError("box entries, ord_eps and ord_eta must be >= 0")
 
     @classmethod
     def from_json(cls, d: dict) -> "ChartCell":
@@ -79,14 +80,14 @@ def zeta_from_charts(
         raise ValueError("only the trivial character is supported")
     if not cells:
         raise ValueError("no chart cells given")
+    if any(cell.n != ctx.n for cell in cells):
+        raise ValueError(f"chart cells must have dimension n = {ctx.n}")
     p = ctx.p
     measure = Fraction(0)
     total = ZetaRational.zero(p)
     for cell in cells:
         pref = Fraction(1, p ** (cell.ord_eta + sum(cell.box[cell.k :])))
-        piece = ZetaRational.const(p, pref).shift(cell.ord_eps) if cell.ord_eps >= 0 else None
-        if piece is None:
-            raise ValueError("negative ord_eps cannot be represented in t")
+        piece = ZetaRational.const(p, pref).shift(cell.ord_eps)
         for j, (N, nu) in zip(cell.box, cell.monomials):
             piece = piece * one_var_integral(p, j, N, nu)
         total = total + piece
@@ -104,20 +105,13 @@ def integrate_univariate(h: MultiPoly, box_j: int, ctx: PadicContext) -> ZetaRat
 
     Runs the class descent `integrate2d._W` on h as a polynomial in (u, w)
     that does not involve w, over P^box_j x Z_p.  Requires a nonzero
-    squarefree h with integer coefficients.
+    squarefree h.
     """
-    import sympy
-
-    if not h.coefficients_integer():
-        raise ValueError("integer coefficients required")
-    coeffs = [c.numerator for c in h.univariate_coeffs()]
-    if all(c == 0 for c in coeffs):
+    if h.is_zero():
         raise ValueError("h must be nonzero")
-    u = sympy.Symbol("u")
-    hs = sympy.Poly(list(reversed(coeffs)), u)
-    if hs.degree() >= 1 and sympy.gcd(hs, hs.diff(u)).degree() > 0:
+    if not is_squarefree(h):
         raise ValueError("h must be squarefree")
-    f = MultiPoly(("u", "w"), {(k, 0): c for k, c in enumerate(coeffs)})
+    f = MultiPoly(("u", "w"), {(k, 0): c for k, c in enumerate(h.univariate_coeffs())})
     return _W(f, ctx.p, 0, 1, 0, 1, box_j, 0, 0).reduced()
 
 

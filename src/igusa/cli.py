@@ -14,6 +14,7 @@ unsupported input (e.g. a non-rational blowup center), 4 internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -99,6 +100,8 @@ def cmd_zeta(args) -> int:
         cells = _load_json(args.charts, lambda d: [ChartCell.from_json(c) for c in d])
         if not cells:
             raise UsageError(f"no chart cells in {args.charts}")
+        if len({cell.n for cell in cells}) > 1:
+            raise UsageError(f"chart cells of different dimensions in {args.charts}")
         ctx = PadicContext(p, cells[0].n)
         z = zeta_from_charts(cells, ctx)
     elif args.family == "sum-squares":
@@ -210,6 +213,7 @@ def cmd_divisibility(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="igusa-zeta",
                                  description="Exact p-adic zeta functions")

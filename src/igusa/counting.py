@@ -25,7 +25,7 @@ def _eval_mod(f: MultiPoly, coords, m: int):
     xs = [x % m for x in coords]
     total = 0
     for e, c in f.terms.items():
-        term = c.numerator % m
+        term = c % m
         for base, k in zip(xs, e):
             while k:
                 if k & 1:
@@ -49,8 +49,6 @@ def count_naive(f: MultiPoly, p: int, i: int, budget: int = NAIVE_BUDGET) -> int
         raise ValueError(f"p^(n*i) = {m**n} exceeds budget {budget}")
     if m > 2**31:
         raise ValueError(f"p^i = {m} overflows int64 products")
-    if not f.coefficients_integer():
-        raise ValueError("integer coefficients required")
     grids = np.meshgrid(*([np.arange(m, dtype=np.int64)] * n), indexing="ij", sparse=True)
     values = np.asarray(_eval_mod(f, grids, m))
     # variables missing from f leave broadcast dimensions of size 1
@@ -67,8 +65,6 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
     coefficient of t^i is M_i p^(-n i)."""
     if imax < 0:
         raise ValueError(f"level {imax} < 0")
-    if not f.coefficients_integer():
-        raise ValueError("integer coefficients required")
     n, q = f.nvars, p**f.nvars
     dtype = np.int64 if p**imax <= 2**31 else object
     counts = [1] + [0] * imax

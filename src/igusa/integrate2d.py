@@ -38,8 +38,6 @@ def zeta_two_var(f: MultiPoly, ctx: PadicContext) -> ZetaRational:
         raise ValueError("two variables required")
     if f.is_zero():
         raise ValueError("f must be nonzero")
-    if not f.coefficients_integer():
-        raise ValueError("integer coefficients required")
     z = _W(f, ctx.p, 0, 1, 0, 1, 0, 0, 0)
     return z.reduced()
 
@@ -58,7 +56,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
     ex = min(i for i, _ in f.terms)
     ey = min(j for _, j in f.terms)
     if w or ex or ey:
-        f = MultiPoly(f.vars, {(i - ex, j - ey): c / p**w for (i, j), c in f.terms.items()})
+        f = MultiPoly(f.vars, {(i - ex, j - ey): c // p**w for (i, j), c in f.terms.items()})
     A, B = A + ex, B + ey
     fx, fy = f.derivative(xn), f.derivative(yn)
     # Sort the classes (c, d) mod p by kind: `factors` counts products of

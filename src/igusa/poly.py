@@ -1,14 +1,12 @@
-"""Sparse multivariate polynomials over Q, with a small expression parser.
+"""Sparse multivariate polynomials over Z, with a small expression parser.
 
-Terms are stored as {exponent tuple: coefficient}.  Coefficients are
-Fractions so that blowup substitutions with rational centers stay exact;
-user input is restricted to integer coefficients by the parser.
+Terms are stored as {exponent tuple: int coefficient}; the constructor is
+the one place that rejects a non-integral coefficient.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb
 
 from .context import vp
@@ -19,22 +17,25 @@ class MultiPoly:
 
     def __init__(self, vars: tuple[str, ...], terms: dict | None = None) -> None:
         self.vars = tuple(vars)
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int] = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    if c != int(c):
+                        raise ValueError("integer coefficients required")
+                    c = int(c)
                 if c:
                     self.terms[tuple(e)] = c
 
     @classmethod
     def const(cls, vars: tuple[str, ...], c) -> "MultiPoly":
-        return cls(vars, {(0,) * len(vars): Fraction(c)})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def var(cls, vars: tuple[str, ...], name: str) -> "MultiPoly":
         e = [0] * len(vars)
         e[vars.index(name)] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
+        return cls(vars, {tuple(e): 1})
 
     @property
     def nvars(self) -> int:
@@ -54,11 +55,11 @@ class MultiPoly:
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(self.vars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.vars, out)
 
     __radd__ = __add__
@@ -67,20 +68,20 @@ class MultiPoly:
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(self.vars, other)
         return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return MultiPoly(
                 self.vars, {e: c * other for e, c in self.terms.items()}
             )
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -117,7 +118,7 @@ class MultiPoly:
                 continue
             e2 = list(e)
             e2[i] -= 1
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c * e[i]
+            out[tuple(e2)] = out.get(tuple(e2), 0) + c * e[i]
         return MultiPoly(self.vars, out)
 
     def subs(self, values: dict) -> "MultiPoly":
@@ -125,7 +126,7 @@ class MultiPoly:
         the variable becomes c + s*name.  Each power of a substituted
         variable expands term by term with binomial coefficients."""
         subst = [(self.vars.index(name), c, s) for name, (c, s) in values.items()]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e, coef in self.terms.items():
             parts = [(e, coef)]
             for i, c, s in subst:
@@ -140,43 +141,36 @@ class MultiPoly:
         return MultiPoly(self.vars, out)
 
     def eval_int(self, point: tuple[int, ...]) -> int:
-        """Evaluate at integer coordinates; requires integer coefficients."""
-        total = Fraction(0)
+        """Evaluate at integer coordinates."""
+        total = 0
         for e, c in self.terms.items():
             v = c
             for x, k in zip(point, e):
                 if k:
                     v *= x**k
             total += v
-        if total.denominator != 1:
-            raise ValueError("non-integer value")
-        return total.numerator
+        return total
 
     def content_power(self, p: int) -> int:
-        """Largest w with p^w dividing every coefficient (integer coeffs)."""
+        """Largest w with p^w dividing every coefficient."""
         if not self.terms:
             return 0
         w = None
         for c in self.terms.values():
-            if c.denominator != 1:
-                raise ValueError("non-integer coefficients")
             v = vp(c, p)
             w = v if w is None else min(w, v)
             if w == 0:
                 return 0
         return w
 
-    def coefficients_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def univariate_coeffs(self) -> list[Fraction]:
+    def univariate_coeffs(self) -> list[int]:
         """Coefficients [c_0, c_1, ...] when only one variable occurs."""
         used = [i for i in range(self.nvars) if any(e[i] for e in self.terms)]
         if len(used) > 1:
             raise ValueError("not univariate")
         i = used[0] if used else 0
         d = max((e[i] for e in self.terms), default=0)
-        out = [Fraction(0)] * (d + 1)
+        out = [0] * (d + 1)
         for e, c in self.terms.items():
             out[e[i]] = c
         return out
@@ -343,7 +337,7 @@ def tangent_cone_factors(f: MultiPoly, xname: str, yname: str):
     the coordinate axes dividing the cone and factors is a list of
     (univariate coefficient list in tau = y/x, multiplicity) for the
     remaining irreducible factors, each with integer coprime coefficients.
-    Linear factors tau - tau0 give the rational directions tau0.
+    A linear factor c1*tau + c0 gives the rational direction -c0/c1.
     """
     import sympy
 
@@ -353,20 +347,22 @@ def tangent_cone_factors(f: MultiPoly, xname: str, yname: str):
     xmult = min(e[xi] for e in cone.terms)
     ymult = min(e[yi] for e in cone.terms)
     # dehomogenize: divide by x^a y^b, substitute x = 1, keep tau = y
-    tau = sympy.Symbol("tau")
-    expr = 0
-    for e, c in cone.terms.items():
-        expr += sympy.Rational(c.numerator, c.denominator) * tau ** (e[yi] - ymult)
-    expr = sympy.expand(expr)
-    factors = []
-    const, flist = sympy.factor_list(sympy.Poly(expr, tau))
-    for fac, mult in flist:
-        coeffs = [Fraction(int(c)) for c in reversed(sympy.Poly(fac, tau).all_coeffs())]
-        factors.append((coeffs, int(mult)))
+    cone_tau = sympy.Poly.from_dict({(e[yi] - ymult,): c for e, c in cone.terms.items()}, sympy.Symbol("tau"))
+    _, flist = sympy.factor_list(cone_tau)
+    factors = [([int(c) for c in reversed(fac.all_coeffs())], int(mult)) for fac, mult in flist]
     return xmult, ymult, factors
 
 
-def blowup_chart_a(f: MultiPoly, xname: str, yname: str, tau0: Fraction = Fraction(0)) -> tuple["MultiPoly", int]:
+def is_squarefree(f: MultiPoly) -> bool:
+    """True when no nonconstant factor of f over Q has multiplicity > 1."""
+    import sympy
+
+    gens = sympy.symbols(list(f.vars))
+    _, factors = sympy.Poly.from_dict(f.terms, *gens).sqf_list()
+    return all(k == 1 for _, k in factors)
+
+
+def blowup_chart_a(f: MultiPoly, xname: str, yname: str, tau0: int = 0) -> tuple["MultiPoly", int]:
     """Substitute x = u, y = u (v + tau0) and divide by u^mu.
 
     The result is expressed in the same variable names (x as u, y as v):

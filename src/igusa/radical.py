@@ -20,7 +20,7 @@ class RadicalScalar:
     def __init__(self, p: int, M: int, coeffs: Sequence[Fraction | int]) -> None:
         if M < 1:
             raise ValueError("M must be positive")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) > M:
             raise ValueError("too many coefficients")
         cs += [Fraction(0)] * (M - len(cs))

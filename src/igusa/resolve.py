@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charts import CandidatePole, CharacterSpec, candidate_poles_filtered
-from .poly import MultiPoly, blowup_chart_a, blowup_chart_b, tangent_cone_factors
+from .poly import MultiPoly, blowup_chart_a, blowup_chart_b, is_squarefree, tangent_cone_factors
 
 
 @dataclass
@@ -79,24 +79,6 @@ class NonRationalCenterError(ValueError):
     pass
 
 
-def _squarefree_check(f: MultiPoly) -> None:
-    import sympy
-
-    syms = sympy.symbols(list(f.vars))
-    expr = 0
-    for e, c in f.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, k in zip(syms, e):
-            term *= s**k
-        expr += term
-    fac = sympy.factor_list(expr)[1]
-    for _, mult in fac:
-        if mult > 1:
-            raise ValueError(
-                "non-squarefree input: pass the reduced part and record multiplicities"
-            )
-
-
 def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
     if f.nvars != 2:
         raise ValueError("two variables required")
@@ -104,7 +86,8 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
         raise ValueError("f must be nonzero")
     if f.eval_int((0, 0)) != 0:
         raise ValueError("f(0,0) must be 0")
-    _squarefree_check(f)
+    if not is_squarefree(f):
+        raise ValueError("non-squarefree input: pass the reduced part and record multiplicities")
     xn, yn = f.vars
     tree = ResolutionTree()
     step = 0
@@ -179,7 +162,7 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
         )
         # new sites on the new exceptional curve
         if ymult >= 1:
-            strict, _ = blowup_chart_a(s, xn, yn, Fraction(0))
+            strict, _ = blowup_chart_a(s, xn, yn)
             new_axes = {xn: new_id}
             if yn in axes:
                 new_axes[yn] = axes[yn]
@@ -193,9 +176,10 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
         for cs, m in factors:
             deg = len(cs) - 1
             if deg == 1:
-                tau0 = Fraction(-cs[0], cs[1])
-                strict, _ = blowup_chart_a(s, xn, yn, tau0)
-                strict = _clear_denominators(strict)
+                # x -> c1 x keeps both axes and turns the direction
+                # -c0/c1 into the integer center -c0
+                c0, c1 = cs
+                strict, _ = blowup_chart_a(s.subs({xn: (0, c1)}), xn, yn, -c0)
                 sites.append((strict, {xn: new_id}))
             elif m == 1:
                 # simple transverse crossings at conjugate points
@@ -208,15 +192,6 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
                     f"degree {deg} with multiplicity {m}"
                 )
     return tree
-
-
-def _clear_denominators(f: MultiPoly) -> MultiPoly:
-    from math import lcm
-
-    den = 1
-    for c in f.terms.values():
-        den = lcm(den, c.denominator)
-    return f * den if den > 1 else f
 
 
 def relations_check(tree: ResolutionTree, step: int) -> dict:

@@ -174,6 +174,11 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
         ("zeta", []),
         ("zeta", [{"k": 0, "box": [0, 0]}]),
         ("zeta", {"k": 0}),
+        ("zeta", [{"k": 0, "monomials": [], "box": [-1]}]),
+        ("zeta", [{"k": 0, "monomials": [], "box": [0], "ord_eta": 1.5}]),
+        ("zeta", [{"k": 1, "monomials": [[1.5, 1]], "box": [0]}]),
+        ("zeta", [{"k": 0, "monomials": [], "box": [0, 0]}, {"k": 0, "monomials": [], "box": [0]}]),
+        ("zeta", [{"k": 0, "monomials": [], "box": [0], "ord_eps": -1}]),
         ("poles", {"p": 3, "denominator": []}),
         ("verify", {"p": 3, "numerator": [["1", "1"]]}),
         ("laurent", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 0, "nu": 1}]}),
@@ -181,7 +186,8 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
         ("verify", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 0}]}),
         ("poles", {"p": 4, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 1}]}),
     ],
-    ids=["no-cells", "cell-without-monomials", "cells-not-a-list",
+    ids=["no-cells", "cell-without-monomials", "cells-not-a-list", "box-negative",
+         "ord-eta-not-int", "N-not-int", "boxes-of-different-lengths", "ord-eps-negative",
          "zeta-without-numerator", "zeta-without-denominator",
          "laurent-N-zero", "poles-N-zero", "verify-nu-zero", "poles-p-not-prime"],
 )

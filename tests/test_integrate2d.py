@@ -163,6 +163,16 @@ def test_matches_counts(text, p):
     assert eval_at_one(z) == 1
 
 
+
+@pytest.mark.parametrize("text", CORPUS[:-1])
+@pytest.mark.parametrize("p", [2, 3])
+def test_variable_order_does_not_change_z(text, p):
+    # the descent's class sums depend on which variable comes first, Z may not
+    ctx = PadicContext(p, 2)
+    xy = zeta_two_var(parse_poly(text, vars=("x", "y")), ctx)
+    yx = zeta_two_var(parse_poly(text, vars=("y", "x")), ctx)
+    assert xy == yx
+
 def test_xy_product_form():
     # Z of x*y is the square of the one-variable zeta
     from igusa.zeta import one_var_integral

@@ -10,6 +10,7 @@ from igusa.poly import (
     blowup_chart_a,
     blowup_chart_b,
     format_poly,
+    is_squarefree,
     parse_poly,
     poly_variables,
     tangent_cone_factors,
@@ -105,7 +106,7 @@ def test_blowup_chart_b_circle():
 def test_blowup_chart_a_translated_center():
     # center tau0 = -1 for the direction y = -x
     strict, mu = blowup_chart_a(
-        parse_poly("x*y*(x+y)+x^4"), "x", "y", tau0=Fraction(-1)
+        parse_poly("x*y*(x+y)+x^4"), "x", "y", tau0=-1
     )
     assert mu == 3
     assert strict.eval_int((0, 0)) == 0
@@ -117,6 +118,23 @@ def test_arithmetic_and_derivative():
     assert (f * g).total_degree() == 4
     assert f.derivative("x").terms == {(1, 0): Fraction(2)}
     assert (f - f).is_zero()
+
+
+def test_coefficients_are_integers():
+    f = MultiPoly(("x",), {(1,): Fraction(4, 2), (0,): 3})
+    assert f.terms == {(1,): 2, (0,): 3}
+    assert all(type(c) is int for c in f.terms.values())
+    with pytest.raises(ValueError, match="integer coefficients required"):
+        MultiPoly(("x",), {(1,): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("x^2*y+x*y^2", True), ("u^2+1", True), ("3", True), ("y^2", False),
+     ("(x+y)^2*(x-y)", False), ("(2*y-x)^3+x^7*y^2", True)],
+)
+def test_is_squarefree(text, expected):
+    assert is_squarefree(parse_poly(text)) is expected
 
 
 def test_eval_int():
@@ -144,7 +162,7 @@ _rationals = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
     terms=st.dictionaries(_exponents, st.integers(-9, 9).filter(bool), min_size=1, max_size=6),
     c=st.integers(-5, 5),
     s=st.integers(-5, 5).filter(bool),
-    tau0=_rationals,
+    tau0=st.integers(-7, 7),
     int_point=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
     point=st.tuples(_rationals, _rationals),
 )

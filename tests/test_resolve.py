@@ -144,3 +144,32 @@ def test_dot_export():
     assert 'E2 [label="E2(3,3)"]' in dot
     assert 'E3 [label="E3(6,5)"]' in dot
     assert "E1 -- E3" in dot
+
+
+def _shape(tree):
+    return (
+        tree.numerical_data(),
+        tree.adjacency,
+        [(s.attached_to, s.degree) for s in tree.strict_components],
+    )
+
+
+@pytest.mark.parametrize(
+    "text, same_as",
+    [("(2*y-x)^2-x^3", "y^2-x^3"), ("(3*y-2*x)^2-x^5", "y^2-x^5")],
+)
+def test_rational_tangent_direction(text, same_as):
+    # tangent directions 1/2 and 2/3 are centers with denominator > 1; a
+    # Q-linear change of coordinates does not change the resolution
+    tree = _tree(text)
+    assert _shape(tree) == _shape(_tree(same_as))
+    assert all(relations_check(tree, k)["ok"] for k in range(1, len(tree.log) + 1))
+
+
+def test_rational_tangent_directions_three_lines():
+    # three lines through the origin, two with directions 1/2 and 1/3: one
+    # blowup separates them into three strict branches on E1
+    tree = _tree("(2*y-x)*(3*y-x)*y+x^4")
+    assert tree.numerical_data() == [(3, 2)]
+    assert [(s.attached_to, s.degree) for s in tree.strict_components] == [(1, 1)] * 3
+    assert relations_check(tree, 1)["ok"]
