@@ -1,87 +1,103 @@
-"""Dense univariate polynomials over Q, used for numerators in t."""
+"""Dense univariate polynomials over Q: numerators in t, and residues in w
+of elements of Q(p^(1/M)).  Coefficients are integers over one denominator;
+`convolve` is the one integer product, shared with `RadicalScalar`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
-class QPoly:
-    """Polynomial in one variable with Fraction coefficients, ascending order."""
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer coefficients of the product of the polynomials with
+    coefficient lists a and b (ascending)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
-    __slots__ = ("coeffs",)
+
+class QPoly:
+    """Polynomial sum nums[i] t^i / den, ascending order, in lowest terms:
+    den > 0, gcd(den, *nums) = 1 and no trailing zero, so equal polynomials
+    have equal fields."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in cs))
+        self._normalise([c.numerator * (d // c.denominator) for c in cs], d)
+
+    def _normalise(self, cs: list[int], d: int) -> None:
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        g = gcd(d, *cs) if d > 0 else -gcd(d, *cs)
+        # from a list: CPython then reuses freed tuples (a generator cost 2 MB of RSS)
+        self.nums: tuple[int, ...] = tuple([c // g for c in cs])
+        self.den: int = d // g
 
     @classmethod
     def const(cls, c: Fraction | int) -> "QPoly":
-        return cls([Fraction(c)])
+        return cls([c])
 
     @classmethod
     def monomial(cls, c: Fraction | int, k: int) -> "QPoly":
-        return cls([Fraction(0)] * k + [Fraction(c)])
+        return cls([0] * k + [c])
 
     @classmethod
     def from_ints(cls, cs: Sequence[int], d: int) -> "QPoly":
-        """The polynomial sum cs[i] t^i / d."""
-        return cls([Fraction(c, d) for c in cs])
+        """The polynomial sum cs[i] t^i / d, d nonzero."""
+        out = cls.__new__(cls)
+        out._normalise(list(cs), d)
+        return out
 
-    def to_ints(self) -> tuple[list[int], int]:
+    def to_ints(self) -> tuple[tuple[int, ...], int]:
         """(cs, d) with self == QPoly.from_ints(cs, d), d the least common denominator."""
-        d = lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
+        return self.nums, self.den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(c, self.den) for c in self.nums])
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return not self.nums
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return isinstance(other, QPoly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        d = lcm(self.den, other.den)
+        ka, kb = d // self.den, d // other.den
+        cs = [ka * a + kb * b for a, b in zip_longest(self.nums, other.nums, fillvalue=0)]
+        return QPoly.from_ints(cs, d)
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return QPoly.from_ints([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        return QPoly.from_ints(convolve(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c: Fraction | int) -> "QPoly":
         c = Fraction(c)
-        return QPoly([a * c for a in self.coeffs])
+        return QPoly.from_ints([a * c.numerator for a in self.nums], self.den * c.denominator)
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by t^k, k >= 0."""
@@ -89,24 +105,23 @@ class QPoly:
             raise ValueError(f"shift by t^{k}: negative powers of t are not polynomials")
         if self.is_zero():
             return self
-        return QPoly([Fraction(0)] * k + list(self.coeffs))
+        return QPoly.from_ints([0] * k + list(self.nums), self.den)
 
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
+        """(q, r) with self = q * other + r and deg r < deg other, by integer
+        pseudo-division s * A = Q * B + R of the numerators, s a power of B's lead."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return QPoly(), QPoly(rem)
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return QPoly(quot), QPoly(rem)
+        bs, b, n, s = other.nums, other.nums[-1], other.degree, 1
+        rem, quot = list(self.nums), [0] * max(len(self.nums) - n, 0)
+        for k in reversed(range(len(quot))):
+            if c := rem[k + n]:
+                rem, quot, s = [b * x for x in rem], [b * x for x in quot], s * b
+                quot[k] = c
+                for j, y in enumerate(bs, k):
+                    rem[j] -= c * y
+        d = s * self.den
+        return QPoly.from_ints([other.den * x for x in quot], d), QPoly.from_ints(rem, d)
 
     def truncated(self, k: int) -> Sequence[Fraction]:
         """First k + 1 coefficients, zero-padded."""

@@ -1,47 +1,47 @@
 """Exact arithmetic in Q(p^(1/M)) and residue values carrying log p powers.
 
-Elements are represented in the quotient Q[w] / (w^M - p).  For p prime the
-polynomial w^M - p is irreducible over Q (Eisenstein), so the quotient is a
-field and an element is zero exactly when all its coefficients are zero.
+Elements are represented in the quotient Q[w] / (w^M - p), each by its
+residue: a QPoly in w of degree < M.  For p prime the polynomial w^M - p is
+irreducible over Q (Eisenstein), so the quotient is a field and an element
+is zero exactly when its residue is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
+
+from .qpoly import QPoly, convolve
 
 
 class RadicalScalar:
     """A number a_0 + a_1 p^(1/M) + ... + a_{M-1} p^((M-1)/M), exact."""
 
-    __slots__ = ("p", "M", "coeffs")
+    __slots__ = ("p", "M", "poly")
 
-    def __init__(self, p: int, M: int, coeffs: Sequence[Fraction | int]) -> None:
+    def __init__(self, p: int, M: int, coeffs: Sequence[Fraction | int] | QPoly) -> None:
+        """coeffs: at most M of a_0, ..., a_{M-1}, or the residue as a QPoly."""
         if M < 1:
             raise ValueError("M must be positive")
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(cs) > M:
-            raise ValueError("too many coefficients")
-        cs += [Fraction(0)] * (M - len(cs))
+        if not isinstance(coeffs, QPoly):
+            if len(coeffs) > M:
+                raise ValueError("too many coefficients")
+            coeffs = QPoly(coeffs)
         self.p = p
         self.M = M
-        self.coeffs = tuple(cs)
+        self.poly = coeffs
 
     @classmethod
     def from_rational(cls, p: int, r: Fraction | int, M: int = 1) -> "RadicalScalar":
-        return cls(p, M, [Fraction(r)])
+        return cls(p, M, [r])
 
     @classmethod
     def p_power(cls, p: int, r: Fraction | int) -> "RadicalScalar":
         """Exact p^r for rational r."""
         r = Fraction(r)
-        M = r.denominator
-        k = r.numerator  # p^(k/M)
-        q, rem = divmod(k, M)
-        coeffs = [Fraction(0)] * M
-        coeffs[rem] = Fraction(p) ** q
-        return cls(p, M, coeffs)
+        q, rem = divmod(r.numerator, r.denominator)  # p^r = p^q w^rem
+        return cls(p, r.denominator, QPoly.monomial(Fraction(p) ** q, rem))
 
     def lifted(self, M: int) -> "RadicalScalar":
         """Rewrite in Q[w']/(w'^M - p) where self.M divides M."""
@@ -50,10 +50,9 @@ class RadicalScalar:
         if M % self.M:
             raise ValueError("incompatible radical degrees")
         k = M // self.M
-        coeffs = [Fraction(0)] * M
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * k] = c
-        return RadicalScalar(self.p, M, coeffs)
+        cs = [0] * (k * len(self.poly.nums))
+        cs[::k] = self.poly.nums
+        return RadicalScalar(self.p, M, QPoly.from_ints(cs, self.poly.den))
 
     def _common(self, other) -> tuple["RadicalScalar", "RadicalScalar"]:
         if isinstance(other, (int, Fraction)):
@@ -65,12 +64,12 @@ class RadicalScalar:
 
     def __add__(self, other) -> "RadicalScalar":
         a, b = self._common(other)
-        return RadicalScalar(a.p, a.M, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return RadicalScalar(a.p, a.M, a.poly + b.poly)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalScalar":
-        return RadicalScalar(self.p, self.M, [-c for c in self.coeffs])
+        return RadicalScalar(self.p, self.M, -self.poly)
 
     def __sub__(self, other) -> "RadicalScalar":
         return self + (-other if isinstance(other, RadicalScalar) else -Fraction(other))
@@ -80,23 +79,15 @@ class RadicalScalar:
 
     def __mul__(self, other) -> "RadicalScalar":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return RadicalScalar(self.p, self.M, [a * c for a in self.coeffs])
+            return RadicalScalar(self.p, self.M, self.poly.scale(other))
         a, b = self._common(other)
-        M, p = a.M, Fraction(a.p)
-        out = [Fraction(0)] * M
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y == 0:
-                    continue
-                k = i + j
-                if k >= M:
-                    out[k - M] += x * y * p
-                else:
-                    out[k] += x * y
-        return RadicalScalar(a.p, M, out)
+        M, p = a.M, a.p
+        # the product has degree < 2M - 1; fold w^(M+k) = p w^k once
+        cs = convolve(a.poly.nums, b.poly.nums)
+        lo = cs[:M]
+        for k, c in enumerate(cs[M:]):
+            lo[k] += p * c
+        return RadicalScalar(p, M, QPoly.from_ints(lo, a.poly.den * b.poly.den))
 
     __rmul__ = __mul__
 
@@ -104,12 +95,9 @@ class RadicalScalar:
         """Field inverse via the extended Euclidean algorithm against w^M - p."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        from .qpoly import QPoly
-
-        mod = QPoly([-Fraction(self.p)] + [0] * (self.M - 1) + [1])
-        a = QPoly(self.coeffs)
+        mod = QPoly.from_ints([-self.p] + [0] * (self.M - 1) + [1], 1)
         # extended gcd: find s with s*a = gcd mod (w^M - p)
-        r0, r1 = mod, a
+        r0, r1 = mod, self.poly
         s0, s1 = QPoly(), QPoly.const(1)
         while not r1.is_zero():
             q, r = r0.divmod(r1)
@@ -118,9 +106,8 @@ class RadicalScalar:
         # r0 is a nonzero constant gcd (the modulus is irreducible)
         if r0.degree != 0:
             raise ArithmeticError("modulus not coprime to element")
-        inv = s0.scale(1 / r0.coeffs[0])
-        _, rem = inv.divmod(mod)
-        return RadicalScalar(self.p, self.M, rem.truncated(self.M - 1))
+        _, rem = s0.scale(Fraction(r0.den, r0.nums[0])).divmod(mod)
+        return RadicalScalar(self.p, self.M, rem)
 
     def __pow__(self, k: int) -> "RadicalScalar":
         if k < 0:
@@ -135,7 +122,7 @@ class RadicalScalar:
         return out
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.poly.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -143,18 +130,21 @@ class RadicalScalar:
         if not isinstance(other, RadicalScalar):
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.poly == b.poly
 
     def __hash__(self) -> int:
-        if all(c == 0 for c in self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.p, self.M, self.coeffs))
+        # equal values have equal residues at the least radical degree M // g
+        nums = self.poly.nums
+        g = gcd(self.M, *(i for i, c in enumerate(nums) if c))
+        if g == self.M:
+            return hash(self.as_rational())
+        return hash((self.p, self.M // g, nums[::g], self.poly.den))
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction, or raise if irrational."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if self.poly.degree > 0:
             raise ValueError("not rational")
-        return self.coeffs[0]
+        return self.poly.truncated(0)[0]
 
     def sign(self) -> int:
         """Sign of the real value (the real M-th root of p)."""
@@ -171,7 +161,7 @@ class RadicalScalar:
             pw_lo, pw_hi = Fraction(1), Fraction(1)
             scale = Fraction(1, 1 << bits)
             rl, rh = lo * scale, hi * scale
-            for c in self.coeffs:
+            for c in self.poly.nums:  # the denominator is positive
                 if c > 0:
                     tot_lo += c * pw_lo
                     tot_hi += c * pw_hi
@@ -188,17 +178,17 @@ class RadicalScalar:
                 raise ArithmeticError("sign refinement did not converge")
 
     def __repr__(self) -> str:
-        if all(c == 0 for c in self.coeffs[1:]):
-            return str(self.coeffs[0])
+        if self.poly.degree <= 0:
+            return str(self.as_rational())
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.poly.coeffs):
             if c == 0:
                 continue
             if i == 0:
                 terms.append(str(c))
             else:
                 terms.append(f"{c}*{self.p}^({i}/{self.M})")
-        return " + ".join(terms) or "0"
+        return " + ".join(terms)
 
 
 def _root_bounds(p: int, M: int, bits: int) -> tuple[int, int]:
@@ -243,6 +233,7 @@ class ResidueValue:
     def to_json(self) -> dict:
         return {
             "M": self.value.M,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.value.coeffs],
+            "coeffs": [f"{c.numerator}/{c.denominator}"
+                       for c in self.value.poly.truncated(self.value.M - 1)],
             "logpow": self.logpow,
         }

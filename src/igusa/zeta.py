@@ -4,10 +4,10 @@ A ZetaRational stores an exact numerator N(t) over Q and a multiset of
 denominator factors (1 - p^(-nu) t^N), keeping the factorization so that
 candidate poles stay readable and Laurent expansions are cheap.
 
-Sums and cancellations work on a numerator as integer coefficients over
-one common denominator (`QPoly.to_ints`): multiplying by a factor is an
-O(deg) integer update (`times_binomials`), dividing by it exact top-down
-integer division (`divide_binomial`).
+A QPoly numerator already is integer coefficients over one denominator,
+which sums and cancellations read with `QPoly.to_ints`: multiplying by a
+factor is an O(deg) integer update (`times_binomials`), dividing by it
+exact top-down integer division (`divide_binomial`).
 
 Near a candidate pole s0, t = t0 exp(-U) with t0 = p^(-s0) and
 U = (s - s0) log p, so a polynomial sum c_i t^i has the closed-form
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
-from math import factorial, gcd, lcm
+from math import factorial
 
 from .context import is_prime
 from .qpoly import QPoly
@@ -34,9 +33,8 @@ class ZetaRational:
     """N(t) / prod (1 - p^(-nu) t^N)^mult, exact over Q.
 
     `+` lifts both numerators to the union of the denominator multisets
-    and adds them over the lcm of their common denominators; `reduced`
-    cancels factors by exact integer division.  Either builds one Fraction
-    per output coefficient.
+    and adds them as QPolys; `reduced` cancels factors by exact integer
+    division.  Neither leaves the integers.
     """
 
     __slots__ = ("p", "numerator", "denominator")
@@ -75,13 +73,9 @@ class ZetaRational:
         den = Counter()
         for key in set(self.denominator) | set(other.denominator):
             den[key] = max(self.denominator[key], other.denominator[key])
-        ca, da = times_binomials(*self.numerator.to_ints(), self.p, den - self.denominator)
-        cb, db = times_binomials(*other.numerator.to_ints(), self.p, den - other.denominator)
-        d = lcm(da, db)
-        ka, kb = d // da, d // db
-        cs = [ka * a + kb * b for a, b in zip_longest(ca, cb, fillvalue=0)]
-        g = gcd(d, *cs)
-        return ZetaRational(self.p, QPoly.from_ints([c // g for c in cs], d // g), den)
+        a = times_binomials(*self.numerator.to_ints(), self.p, den - self.denominator)
+        b = times_binomials(*other.numerator.to_ints(), self.p, den - other.denominator)
+        return ZetaRational(self.p, QPoly.from_ints(*a) + QPoly.from_ints(*b), den)
 
     __radd__ = __add__
 

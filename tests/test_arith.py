@@ -1,6 +1,7 @@
 """Exact rational-function arithmetic, radical scalars, Laurent data."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,73 @@ def test_radical_scalar_sign():
     assert RadicalScalar(3, 2, [-2, 1]).sign() == -1
     assert RadicalScalar(3, 2, [-1, 1]).sign() == 1
     assert RadicalScalar(3, 2, []).sign() == 0
+
+
+def test_radical_scalar_rejects_too_many_coefficients():
+    # trailing zeros count: the coefficient list is a_0, ..., a_{M-1}
+    with pytest.raises(ValueError):
+        RadicalScalar(3, 2, [1, 1, 0])
+
+
+def test_radical_scalar_hash_agrees_with_eq():
+    a = RadicalScalar(3, 2, [1, 1])
+    assert a == a.lifted(4)
+    assert hash(a) == hash(a.lifted(4))
+    assert len({a, a.lifted(6)}) == 1
+    assert hash(RadicalScalar(3, 4, [Fraction(5, 2)])) == hash(Fraction(5, 2))
+
+
+def _fraction_product(p, M, xs, ys):
+    """xs * ys in Q[w]/(w^M - p) by a double loop over Fractions."""
+    out = [Fraction(0)] * M
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if i + j >= M:
+                out[i + j - M] += x * y * p
+            else:
+                out[i + j] += x * y
+    return out
+
+
+def _assert_lowest_terms(q):
+    assert q.den > 0
+    assert gcd(q.den, *q.nums) == 1
+    assert not q.nums or q.nums[-1] != 0
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def _radical_triples(draw):
+    """(p, M, three coefficient lists of at most M Fractions each)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    M = draw(st.integers(1, 8))
+    return p, M, [draw(st.lists(_FRACTIONS, max_size=M)) for _ in range(3)]
+
+
+@settings(max_examples=300)
+@given(_radical_triples(), st.integers(1, 3), _FRACTIONS,
+       st.integers(-6, 6).filter(bool))
+def test_radical_kernel_properties(case, k, c, m):
+    p, M, (xs, ys, zs) = case
+    a, b, e = (RadicalScalar(p, M, cs) for cs in (xs, ys, zs))
+    assert a * b == RadicalScalar(p, M, _fraction_product(p, M, xs, ys))
+    assert (a * b) * e == a * (b * e)
+    assert a * (b + e) == a * b + a * e
+    if not a.is_zero():
+        assert a * a.inverse() == 1
+        _assert_lowest_terms(a.inverse().poly)
+    lifted = a.lifted(k * M)
+    assert lifted == a and hash(lifted) == hash(a)
+    nums, den = a.poly.to_ints()
+    results = [a * b, a + b, -a, a * c, lifted]
+    for q in [r.poly for r in results] + [
+        a.poly + b.poly, a.poly * b.poly, a.poly.scale(c), a.poly.shift(k),
+        QPoly.from_ints([m * x for x in nums] + [0] * k, m * den),
+    ]:
+        _assert_lowest_terms(q)
+    assert QPoly.from_ints([m * x for x in nums] + [0] * k, m * den) == a.poly
 
 
 def test_one_var_integral_j0():

@@ -1,5 +1,7 @@
 """Closed-form zeta families and their pole/residue bookkeeping."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,31 @@ def test_x2_ayl_even_dyadic_case():
     assert residue.value.sign() == 1
     ok, _, _ = verify_zeta_against_counts(z, parse_poly("x^2+y^4"), 3)
     assert ok
+
+
+# SHA-256 of the list of to_json() of the closed-form residues: odd l = 2r+1
+# for r = 1..16 with a = 1 (M up to lcm(2, 33) = 66), and both character-free
+# even subcases for r = 1..8
+GOLDEN_RESIDUES = {
+    ("odd", 2, 1): "36cafa953c2bac90a5ac94b844e95a847135473eb48e9b18d539f138b240741a",
+    ("odd", 3, 1): "d4c55eb04c8b0aef69ef32f10251e9b43a9a802c87ccefd9b4d8c2ef9a7e97ad",
+    ("odd", 5, 1): "b3d4a8feb78b42484582e8452e4e02f6dbc976cb586091c6d6c8a8a26275191b",
+    ("odd", 7, 1): "d23d9dbcef97b2a60b2d18cb5337ad6f79f73f0f1325055e07049d0cff99f433",
+    ("even", 3, 1): "2eef662ad5e155f379d0dc6015a3e0e995722203ec53f24f40cf1f1908611f76",
+    ("even", 5, 3): "f4925f1be437cea52d9b74819550f47828c8564eed9a1bdbb9ac8eff0cdc7b19",
+    ("even", 2, 1): "3d896e86c3ccac0acddaf9e7ced7994df4560654724804d2e3988b3fc885e918",
+}
+
+
+@pytest.mark.parametrize("case, p, a", sorted(GOLDEN_RESIDUES))
+def test_residue_json_golden(case, p, a):
+    ctx = PadicContext(p, 2)
+    if case == "odd":
+        recs = [residue_x2_ayl_odd(ctx, a, r).to_json() for r in range(1, 17)]
+    else:
+        recs = [residue_x2_ayl_even(ctx, a, r).to_json() for r in range(1, 9)]
+    digest = hashlib.sha256(json.dumps(recs, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_RESIDUES[case, p, a]
 
 
 def test_x2_ayl_l2_reduces_to_sum_squares():
