@@ -54,7 +54,7 @@ def zeta_x2_ayl(ctx: PadicContext, a: int, l: int):
         raise ValueError("a must be nonzero")
     p = ctx.p
     f = MultiPoly(("x", "y"), {(2, 0): 1, (0, l): a})
-    z = zeta_two_var(f, ctx).reduced()
+    z = zeta_two_var(f, ctx)
     parts = real_pole_parts(z)
     # the distinguished pole of the multiplicity-2 family: -1/2 - 1/l for
     # l > 2 (odd l = 2r+1 and even l = 2r alike), -1 for l = 2
@@ -64,13 +64,8 @@ def zeta_x2_ayl(ctx: PadicContext, a: int, l: int):
 
 
 def real_pole_parts(z: ZetaRational) -> list[Fraction]:
-    """Real parts -nu/N of genuine real poles of z."""
-    z = z.reduced()
-    out = []
-    for s0, _ in z.candidate_poles():
-        if z.is_real_pole(s0):
-            out.append(s0)
-    return sorted(out)
+    """Real parts -nu/N of genuine real poles of z, ascending."""
+    return [s0 for s0, _ in z.candidate_poles() if z.is_real_pole(s0)]
 
 
 def residue_x2_ayl_odd(ctx: PadicContext, a: int, r: int) -> ResidueValue:

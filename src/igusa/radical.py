@@ -74,9 +74,6 @@ class RadicalScalar:
     def __sub__(self, other) -> "RadicalScalar":
         return self + (-other if isinstance(other, RadicalScalar) else -Fraction(other))
 
-    def __rsub__(self, other) -> "RadicalScalar":
-        return (-self) + other
-
     def __mul__(self, other) -> "RadicalScalar":
         if isinstance(other, (int, Fraction)):
             return RadicalScalar(self.p, self.M, self.poly.scale(other))
@@ -109,18 +106,6 @@ class RadicalScalar:
         _, rem = s0.scale(Fraction(r0.den, r0.nums[0])).divmod(mod)
         return RadicalScalar(self.p, self.M, rem)
 
-    def __pow__(self, k: int) -> "RadicalScalar":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RadicalScalar.from_rational(self.p, 1, self.M)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
@@ -150,25 +135,22 @@ class RadicalScalar:
         """Sign of the real value (the real M-th root of p)."""
         if self.is_zero():
             return 0
-        # Evaluate sum a_i * r^i at r = p^(1/M) with interval arithmetic on
-        # scaled integers, refining until the sign is determined.
+        # Evaluate sum a_i r^i at r = p^(1/M) in [lo, hi] / 2^bits, scaled by
+        # 2^(bits deg) to stay on integers, refining until the sign is determined.
+        nums = self.poly.nums  # the denominator is positive
+        deg = len(nums) - 1
         bits = 32
         while True:
             lo, hi = _root_bounds(self.p, self.M, bits)
-            # interval powers of [lo, hi] / 2^bits
-            tot_lo = Fraction(0)
-            tot_hi = Fraction(0)
-            pw_lo, pw_hi = Fraction(1), Fraction(1)
-            scale = Fraction(1, 1 << bits)
-            rl, rh = lo * scale, hi * scale
-            for c in self.poly.nums:  # the denominator is positive
-                if c > 0:
-                    tot_lo += c * pw_lo
-                    tot_hi += c * pw_hi
-                elif c < 0:
-                    tot_lo += c * pw_hi
-                    tot_hi += c * pw_lo
-                pw_lo, pw_hi = pw_lo * rl, pw_hi * rh
+            tot_lo = tot_hi = 0
+            pw_lo = pw_hi = 1
+            for i, c in enumerate(nums):
+                if c:
+                    sh = bits * (deg - i)
+                    lo_i, hi_i = c * pw_lo << sh, c * pw_hi << sh
+                    tot_lo += min(lo_i, hi_i)
+                    tot_hi += max(lo_i, hi_i)
+                pw_lo, pw_hi = pw_lo * lo, pw_hi * hi
             if tot_lo > 0:
                 return 1
             if tot_hi < 0:

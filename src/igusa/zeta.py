@@ -11,18 +11,20 @@ exact top-down integer division (`divide_binomial`).
 
 Near a candidate pole s0, t = t0 exp(-U) with t0 = p^(-s0) and
 U = (s - s0) log p, so a polynomial sum c_i t^i has the closed-form
-expansion sum_k U^k sum_i c_i t0^i (-i)^k / k! (`u_expansion`).  Laurent
-data are one truncated division of two such lists: the numerator's by the
-expanded denominator product's, less the U^m it vanishes to at a pole of
-multiplicity m.  The real-pole test reads the numerator's value at t0 off
-its U^0 term.
+expansion sum_k U^k sum_i c_i t0^i (-i)^k / k! (`u_expansion`).  Each
+t0^i folds once to p^e w^r at one radical degree M, so every U^k
+coefficient is one integer vector in Q[w]/(w^M - p).  Laurent data are one
+truncated division of two such lists: the numerator's by the expanded
+denominator product's, less the U^m it vanishes to at a pole of
+multiplicity m.  The real-pole test compares vanishing orders: s0 is a
+pole iff the numerator vanishes at t0 to order less than m.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .context import is_prime
 from .qpoly import QPoly
@@ -119,29 +121,12 @@ class ZetaRational:
         return sorted(acc.items())
 
     def is_real_pole(self, s0: Fraction) -> bool:
-        """A candidate s0 is a real pole unless the numerator kills every
-        factor vanishing there; checked exactly at t = p^(-s0)."""
-        r = self.reduced()
-        mult = sum(
-            m for (N, nu), m in r.denominator.items() if Fraction(-nu, N) == s0
-        )
-        if mult == 0:
-            return False
-        if not u_expansion(r.numerator.coeffs, r.p, s0, 0)[0].is_zero():
-            return True
-        # numerator vanishes at t0: compare vanishing orders via Laurent data
-        exp = laurent_at(r, s0)
-        return exp.pole_order > 0
-
-    def eval_at_one(self) -> Fraction:
-        num = sum(self.numerator.coeffs, Fraction(0))
-        den = Fraction(1)
-        for (N, nu), m in self.denominator.items():
-            fval = 1 - Fraction(1, self.p**nu)
-            if fval == 0:
-                raise ZeroDivisionError("denominator factor vanishes at t = 1")
-            den *= fval**m
-        return num / den
+        """Whether s0 is a pole: the denominator vanishes at t0 = p^(-s0) to
+        the order m of s0 among the candidates, reduced or not, so the pole
+        order is m less the numerator's order, and s0 is a pole iff one of
+        the numerator's U^0, ..., U^(m-1) coefficients is nonzero."""
+        m = dict(self.candidate_poles()).get(s0, 0)
+        return any(not c.is_zero() for c in u_expansion(self.numerator, self.p, s0, m - 1))
 
     def to_json(self) -> dict:
         return {
@@ -228,7 +213,15 @@ def one_var_integral(p: int, j: int, N: int, nu: int) -> ZetaRational:
 
 
 def eval_at_one(z: ZetaRational) -> Fraction:
-    return z.eval_at_one()
+    """Z at t = 1 (s = 0)."""
+    num, d = z.numerator.to_ints()
+    den = Fraction(d)
+    for (N, nu), m in z.denominator.items():
+        fval = 1 - Fraction(1, z.p**nu)
+        if fval == 0:
+            raise ZeroDivisionError("denominator factor vanishes at t = 1")
+        den *= fval**m
+    return sum(num) / den
 
 
 # -- Poincare series ----------------------------------------------------------
@@ -302,13 +295,28 @@ def poincare_from_zeta(z: ZetaRational, n: int, imax: int) -> PoincareSeries:
 # -- Laurent expansion --------------------------------------------------------
 
 
-def u_expansion(cs, p: int, s0: Fraction, K: int) -> list[RadicalScalar]:
-    """Coefficients of U^0, ..., U^K of the polynomial sum cs[i] t^i at
-    t = t0 exp(-U), t0 = p^(-s0): the coefficient of U^k is
-    sum_i cs[i] t0^i (-i)^k / k!."""
-    terms = [(RadicalScalar.p_power(p, -i * s0) * c, -i) for i, c in enumerate(cs) if c]
-    zero = RadicalScalar.from_rational(p, 0)
-    return [sum((w * Fraction(r**k, factorial(k)) for w, r in terms), zero) for k in range(K + 1)]
+def u_expansion(poly: QPoly, p: int, s0: Fraction, K: int) -> list[RadicalScalar]:
+    """Coefficients of U^0, ..., U^K of poly at t = t0 exp(-U), t0 = p^(-s0):
+    the coefficient of U^k is sum_i c_i t0^i (-i)^k / k!.
+
+    With s0 = -a/q in lowest terms and M = q / gcd(q, every i with c_i != 0),
+    t0^i = p^(e_i) w^(r_i) in Q[w]/(w^M - p); one power p^E clears the
+    negative e_i, so each coefficient is one integer vector over den p^E k!."""
+    a, q = -s0.numerator, s0.denominator
+    nums = poly.nums
+    g = gcd(q, *(i for i, c in enumerate(nums) if c))
+    M = q // g
+    folded = [(i, *divmod(i // g * a, M)) for i, c in enumerate(nums) if c]
+    E = max([-e for _, e, _ in folded] + [0])
+    terms = [(r, nums[i] * p ** (e + E), -i) for i, e, r in folded]
+    out = []
+    for k in range(K + 1):
+        vec = [0] * M
+        for r, c, _ in terms:
+            vec[r] += c
+        out.append(RadicalScalar(p, M, QPoly.from_ints(vec, poly.den * p**E * factorial(k))))
+        terms = [(r, c * j, j) for r, c, j in terms]
+    return out
 
 
 def _div_trunc(a: list, b: list, K: int) -> list:
@@ -348,12 +356,12 @@ def laurent_at(z: ZetaRational, s0: Fraction, extra: int = 2) -> LaurentExpansio
     """Laurent expansion of z at s = s0, via t = p^(-s0) exp(-U) with
     U = (s - s0) log p.  Exact over Q(p^(1/M))."""
     p = z.p
-    m = sum(c for (N, nu), c in z.denominator.items() if Fraction(-nu, N) == s0)
+    m = dict(z.candidate_poles()).get(s0, 0)
     K = m + extra
     # D(t0 e^(-U)) vanishes to order exactly m: each factor with
     # -nu/N = s0 is 1 - e^(-NU), and no other factor vanishes at t0
-    num = u_expansion(z.numerator.coeffs, p, s0, K)
-    den = u_expansion(z.denominator_poly().coeffs, p, s0, K + m)[m:]
+    num = u_expansion(z.numerator, p, s0, K)
+    den = u_expansion(z.denominator_poly(), p, s0, K + m)[m:]
     unit = _div_trunc(num, den, K)
     # unit / U^m; numerator vanishing lowers the actual pole order
     nv = next((i for i, c in enumerate(unit) if not c.is_zero()), K + 1)

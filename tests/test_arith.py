@@ -78,7 +78,8 @@ def test_binomial_kernels_match_qpoly(case):
 def test_radical_scalar_root_identity():
     # w represents p^(1/M): w^M must reduce to p
     w = RadicalScalar(5, 6, [0, 1])
-    assert (w ** 6).as_rational() == 5
+    w3 = w * w * w
+    assert (w3 * w3).as_rational() == 5
 
 
 def test_radical_scalar_inverse():
@@ -92,6 +93,10 @@ def test_radical_scalar_sign():
     assert RadicalScalar(3, 2, [-2, 1]).sign() == -1
     assert RadicalScalar(3, 2, [-1, 1]).sign() == 1
     assert RadicalScalar(3, 2, []).sign() == 0
+    # convergents of 2^(1/2) within 2^-41 of it, closer than the first 32-bit
+    # interval resolves: a bound that takes the wrong root power fails here
+    assert RadicalScalar(2, 2, [Fraction(1607521, 1136689), -1]).sign() == -1
+    assert RadicalScalar(2, 2, [Fraction(3880899, 2744210), -1]).sign() == 1
 
 
 def test_radical_scalar_rejects_too_many_coefficients():
@@ -159,6 +164,23 @@ def test_radical_kernel_properties(case, k, c, m):
     ]:
         _assert_lowest_terms(q)
     assert QPoly.from_ints([m * x for x in nums] + [0] * k, m * den) == a.poly
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=300)
+@given(_radical_triples(), st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)))
+def test_radical_sign_properties(case, c):
+    p, M, (xs, ys, _) = case
+    a, b = RadicalScalar(p, M, xs), RadicalScalar(p, M, ys)
+    assert (-a).sign() == -a.sign()
+    assert (a * b).sign() == a.sign() * b.sign()
+    if M == 1:
+        assert a.sign() == _sign(sum(xs, Fraction(0)))
+    # w = p^(1/M) > 0 and c > 0, so w - c has the sign of w^M - c^M
+    assert (RadicalScalar.p_power(p, Fraction(1, M)) - c).sign() == _sign(p - c**M)
 
 
 def test_one_var_integral_j0():

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+from collections import Counter
+from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from igusa.context import PadicContext
 from igusa.families import zeta_x2_ayl, zeta_xy_zi
+from igusa.qpoly import QPoly
 from igusa.radical import RadicalScalar
-from igusa.zeta import ZetaRational, laurent_at, one_var_integral
+from igusa.zeta import ZetaRational, laurent_at, one_var_integral, u_expansion
 
 # a zeta is a sum of products of one_var_integral(p, j, N, nu) terms
 _FACTOR = st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(1, 4))
@@ -55,6 +59,60 @@ def test_laurent_at_is_a_ring_homomorphism(p, spec1, spec2, extra):
             )
             assert _coeff(lp, e) == cauchy
             assert _coeff(ls, e) == _coeff(l1, e) + _coeff(l2, e)
+
+
+def _u_reference(poly, p, s0, K):
+    """u_expansion term by term: sum_i c_i p^(-i s0) (-i)^k / k! as
+    RadicalScalars, each term at its own radical degree, summed with lifting."""
+    terms = [(RadicalScalar.p_power(p, -i * s0) * c, -i)
+             for i, c in enumerate(poly.coeffs) if c]
+    zero = RadicalScalar.from_rational(p, 0)
+    return [sum((w * Fraction(r**k, factorial(k)) for w, r in terms), zero)
+            for k in range(K + 1)]
+
+
+@st.composite
+def _sparse_polys(draw):
+    """Polynomials whose nonzero terms sit at multiples of a stride, so the
+    radical degree of the expansion is often a proper divisor of s0's
+    denominator; the empty list is the zero polynomial."""
+    stride = draw(st.integers(1, 4))
+    cs = draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                       max_size=6))
+    out = [Fraction(0)] * (stride * len(cs))
+    out[::stride] = cs
+    return QPoly(out)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 5]), _sparse_polys(),
+       st.builds(Fraction, st.integers(-8, 8), st.integers(1, 8)), st.integers(0, 3))
+@example(3, QPoly(), Fraction(-1, 2), 2)
+def test_u_expansion_matches_per_term_reference(p, poly, s0, K):
+    out = u_expansion(poly, p, s0, K)
+    M = lcm(1, *(RadicalScalar.p_power(p, -i * s0).M
+                 for i, c in enumerate(poly.coeffs) if c))
+    assert len(out) == K + 1
+    for got, want in zip(out, _u_reference(poly, p, s0, K)):
+        assert got.M == want.M == M
+        assert got.poly == want.poly
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([2, 3, 5]), _SPEC, st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2))
+def test_laurent_data_ignore_a_common_binomial(p, spec, N, nu, extra):
+    """Multiplying numerator and denominator by 1 - p^(-nu) t^N leaves Z,
+    unreduced, with the same pole orders, Laurent data and real poles."""
+    z = _build(p, spec)
+    binomial = QPoly([1] + [0] * (N - 1) + [Fraction(-1, p**nu)])
+    bloated = ZetaRational(p, z.numerator * binomial, z.denominator + Counter({(N, nu): 1}))
+    assert bloated == z
+    for s0, _ in bloated.candidate_poles():
+        a, b = laurent_at(z, s0, extra), laurent_at(bloated, s0, extra)
+        assert a.pole_order == b.pole_order
+        assert all(a.b(k) == b.b(k) for k in range(-extra, a.pole_order + 1))
+        assert z.is_real_pole(s0) == bloated.is_real_pole(s0) == (a.pole_order > 0)
 
 
 def _laurent_digest(z):
