@@ -93,10 +93,15 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if bool(args.family) == bool(args.charts):
-        raise UsageError("give exactly one of --family or --charts")
+    if sum(map(bool, (args.family, args.charts, args.f))) != 1:
+        raise UsageError("give exactly one of --family, --charts or -f")
     p = args.p
-    if args.charts:
+    if args.f:
+        f = parse_poly(args.f)
+        if f.nvars != 2:
+            raise UsageError(f"-f needs 2 variables, {f} has {f.nvars}")
+        z = zeta_two_var(f, PadicContext(p, 2))
+    elif args.charts:
         cells = _load_json(args.charts, lambda d: [ChartCell.from_json(c) for c in d])
         if not cells:
             raise UsageError(f"no chart cells in {args.charts}")
@@ -234,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("zeta")
     c.add_argument("--family", choices=["sum-squares", "x2ayl", "xyzi"])
     c.add_argument("--charts")
+    c.add_argument("-f")
     c.add_argument("--a", type=int)
     c.add_argument("--l", type=int)
     c.add_argument("--i", type=int)

@@ -1,9 +1,12 @@
 """Counting solutions of f = 0 mod p^i, naively and by one Hensel pass.
 
-Both evaluate f with `_eval_mod`, square-and-multiply over numpy arrays.  The
-Hensel pass lifts the zeros mod p^(j-1) that are singular mod p by every digit
-vector times p^(j-1) and tests them mod p^j; a zero mod p with a unit partial
-derivative lifts to p^((n-1)(i-1)) zeros mod p^i (Hensel's lemma).
+Both evaluate f with `_eval_mod`, square-and-multiply over numpy arrays.  A
+zero mod p with a unit partial derivative lifts to p^((n-1)(i-1)) zeros mod
+p^i (Hensel's lemma).  For a zero a mod p^(j-1), j >= 2, that is singular mod
+p, Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) + p^(j-1) grad f(a).d
+= f(a) mod p^j for every digit vector d, since grad f(a) = 0 mod p and
+2(j-1) >= j: all p^n lifts of a pass or fail together.  So the Hensel pass
+evaluates f once per kept zero per level and counts p^n per survivor.
 """
 
 from __future__ import annotations
@@ -60,37 +63,49 @@ def count_hensel(f: MultiPoly, p: int, i: int) -> int:
     return poincare_truncation(f, p, i).counts()[i]
 
 
+def _zeros(f: MultiPoly, pts, m: int):
+    """The rows of pts at which f = 0 mod m (`_eval_mod` of a constant f is
+    a scalar, hence the broadcast)."""
+    return pts[np.broadcast_to(_eval_mod(f, pts.T, m) == 0, len(pts))]
+
+
 def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
     """P(t) up to t^imax from the counts M_0..M_imax of one Hensel pass:
-    coefficient of t^i is M_i p^(-n i)."""
+    coefficient of t^i is M_i p^(-n i).  Level 1 enumerates the digit
+    vectors, counts the smooth zeros in closed form and keeps the singular
+    ones; level j >= 2 evaluates f mod p^j once per kept zero a mod p^(j-1),
+    adds p^n to M_j for each survivor (all lifts of a pass with it) and
+    lifts only the survivors by every digit vector times p^(j-1)."""
     if imax < 0:
         raise ValueError(f"level {imax} < 0")
     n, q = f.nvars, p**f.nvars
+    if imax == 0:
+        return PoincareSeries(p, n, [Fraction(1)])
     dtype = np.int64 if p**imax <= 2**31 else object
     counts = [1] + [0] * imax
-    pts = np.zeros((1, n), dtype)  # the zeros mod p^(j-1) that are singular mod p
-    for j in range(1, imax + 1):
-        kept, lifts = [], len(pts) * q
-        for lo in range(0, lifts, _BLOCK):
-            row, d = np.divmod(np.arange(lo, min(lo + _BLOCK, lifts)), q)
-            digits = (d[:, None] // p ** np.arange(n) % p).astype(dtype)
-            block = pts[row] + digits * p ** (j - 1)
-            block = block[np.broadcast_to(_eval_mod(f, block.T, p**j) == 0, len(block))]
-            if j == 1:
-                # lifts of a point singular mod p stay singular mod p
-                smooth = np.zeros(len(block), dtype=bool)
-                for v in f.vars:
-                    smooth |= _eval_mod(f.derivative(v), block.T, p) != 0
-                s = int(np.count_nonzero(smooth))
-                for i in range(1, imax + 1):
-                    counts[i] += s * p ** ((n - 1) * (i - 1))
-                block = block[~smooth]
-            counts[j] += len(block)
-            if j < imax:
-                kept.append(block)
-        if not kept:
+
+    def digits(d):
+        return (d[:, None] // p ** np.arange(n) % p).astype(dtype)
+
+    pts = []  # the zeros mod p^(j-1) that are singular mod p
+    for lo in range(0, q, _BLOCK):
+        block = _zeros(f, digits(np.arange(lo, min(lo + _BLOCK, q))), p)
+        smooth = np.zeros(len(block), dtype=bool)
+        for v in f.vars:
+            smooth |= _eval_mod(f.derivative(v), block.T, p) != 0
+        s = int(np.count_nonzero(smooth))
+        for i in range(1, imax + 1):
+            counts[i] += s * p ** ((n - 1) * (i - 1))
+        pts.append(block[~smooth])
+    pts = np.concatenate(pts)
+    counts[1] += len(pts)
+    for j in range(2, imax + 1):
+        pts = np.concatenate([pts[:0]] + [_zeros(f, pts[lo:lo + _BLOCK], p**j)
+                                          for lo in range(0, len(pts), _BLOCK)])
+        counts[j] += q * len(pts)
+        if not len(pts) or j == imax:
             break
-        pts = np.concatenate(kept)
+        pts = (pts[:, None] + digits(np.arange(q)) * p ** (j - 1)).reshape(-1, n)
     return PoincareSeries(p, n, [Fraction(M, p ** (n * i)) for i, M in enumerate(counts)])
 
 

@@ -7,6 +7,8 @@ import pytest
 from igusa.cli import run
 from igusa.context import PadicContext
 from igusa.families import zeta_xy_zi
+from igusa.integrate2d import zeta_two_var
+from igusa.poly import parse_poly
 
 
 def _run(capsys, *argv):
@@ -53,6 +55,13 @@ def test_zeta_family_json_golden(capsys):
     assert data["p"] == 3
     assert data["numerator"] == [["2", "3"], ["-2", "81"]]
     assert data["denominator"] == [{"N": 1, "nu": 1}, {"N": 2, "nu": 3}]
+
+
+@pytest.mark.parametrize("f", ["y^2-x^3", "x^2+y^2"])
+def test_zeta_of_polynomial_matches_library(capsys, f):
+    code, out = _run(capsys, "--json", "zeta", "-f", f, "--p", "3")
+    assert code == 0
+    assert json.loads(out) == zeta_two_var(parse_poly(f), PadicContext(3, 2)).to_json()
 
 
 def test_zeta_round_trip_through_tools(capsys, tmp_path):
@@ -120,6 +129,9 @@ def test_divisibility(capsys):
 def test_usage_errors(capsys):
     assert _run(capsys, "count", "-f", "x^2", "--p", "4", "-i", "1")[0] == 2
     assert _run(capsys, "zeta", "--family", "xyzi", "--p", "3")[0] == 2
+    # the descent takes 2 variables; -f excludes --family and --charts
+    assert _run(capsys, "zeta", "-f", "x*y+z^2", "--p", "3")[0] == 2
+    assert _run(capsys, "zeta", "-f", "x^2+y^2", "--family", "sum-squares", "--p", "3")[0] == 2
     assert _run(capsys, "count", "-f", "x^(", "--p", "3", "-i", "1")[0] == 2
 
 

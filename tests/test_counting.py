@@ -1,5 +1,8 @@
 """Brute-force and Hensel-descent solution counting mod p^i."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,3 +142,59 @@ def test_eval_mod_matches_eval_int(f, rows, m, big_m):
         values = _eval_mod(f, np.array(pts, dtype=dtype).T, modulus)
         got = np.broadcast_to(values, len(pts))
         assert [int(v) for v in got] == [f.eval_int(pt) % modulus for pt in pts]
+
+
+def _lift_every_digit_vector(f, p, imax):
+    """M_0..M_imax by lifting every zero mod p^(j-1) by every digit vector
+    times p^(j-1) and testing each lift mod p^j: no smooth rule, no
+    Taylor shortcut."""
+    n = f.nvars
+    digits = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    counts, zeros = [1], np.zeros((1, n), dtype=np.int64)
+    for j in range(1, imax + 1):
+        lifts = (zeros[:, None] + digits * p ** (j - 1)).reshape(-1, n)
+        values = np.broadcast_to(_eval_mod(f, lifts.T, p**j), len(lifts))
+        zeros = lifts[values == 0]
+        counts.append(len(zeros))
+    return counts
+
+
+@st.composite
+def _deep_cases(draw):
+    """(f, p): a small polynomial, the constant p, or f free of its last
+    variable."""
+    f, p = draw(_small_polys()), draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["poly", "constant", "free"]))
+    if kind == "constant":
+        f = MultiPoly(f.vars, {(0,) * f.nvars: p})
+    elif kind == "free":
+        f = MultiPoly(f.vars, {e[:-1] + (0,): c for e, c in f.terms.items()})
+    return f, p
+
+
+@settings(max_examples=150)
+@given(_deep_cases())
+def test_hensel_matches_lifting_every_digit_vector(case):
+    # levels count_naive cannot afford: k up to 6 in 2 variables, 4 in 3
+    f, p = case
+    k = 6 if f.nvars == 2 else 4
+    assert poincare_truncation(f, p, k).counts() == _lift_every_digit_vector(f, p, k), (f, p)
+
+
+def test_hensel_square_object_dtype():
+    # p^33 > 2^31 puts the pass on object arrays; x^2 = 0 mod 2^i iff
+    # v(x) >= ceil(i/2), so M_i = 2^floor(i/2)
+    counts = poincare_truncation(parse_poly("x^2"), 2, 33).counts()
+    assert counts == [2 ** (i // 2) for i in range(34)]
+
+
+def test_hensel_memory_stays_blocked():
+    # p^n = 101^3 digit vectors: level 1 must stay in _BLOCK-row blocks and
+    # the one singular zero (0, 0, 0) is not lifted at the last level
+    tracemalloc.start()
+    try:
+        poincare_truncation(parse_poly("x*y+z^2"), 101, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
