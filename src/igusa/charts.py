@@ -9,7 +9,7 @@ from fractions import Fraction
 from .context import PadicContext
 from .integrate2d import _W
 from .poly import MultiPoly, is_squarefree
-from .zeta import ZetaRational, one_var_integral
+from .zeta import ZetaRational, one_var_integral, zeta_sum
 
 
 @dataclass(frozen=True)
@@ -84,20 +84,20 @@ def zeta_from_charts(
         raise ValueError(f"chart cells must have dimension n = {ctx.n}")
     p = ctx.p
     measure = Fraction(0)
-    total = ZetaRational.zero(p)
+    pieces = []
     for cell in cells:
         pref = Fraction(1, p ** (cell.ord_eta + sum(cell.box[cell.k :])))
         piece = ZetaRational.const(p, pref).shift(cell.ord_eps)
         for j, (N, nu) in zip(cell.box, cell.monomials):
             piece = piece * one_var_integral(p, j, N, nu)
-        total = total + piece
+        pieces.append(piece)
         measure += Fraction(1, p ** sum(cell.box))
     if measure != 1:
         warnings.warn(
             f"chart boxes have total measure {measure}, not a partition of Z_p^n",
             stacklevel=2,
         )
-    return total.reduced()
+    return zeta_sum(p, pieces).reduced()
 
 
 def integrate_univariate(h: MultiPoly, box_j: int, ctx: PadicContext) -> ZetaRational:

@@ -35,14 +35,12 @@ class DivisibilityReport:
 
 
 def smallest_real_pole(z: ZetaRational) -> Fraction:
-    """Smallest -nu/N among surviving denominator factors that are real
-    poles; candidates that fail the real-point test but survive reduction
-    are included pessimistically."""
+    """The least candidate pole -nu/N of the reduced Z.  No real-point test
+    runs: a factor that survives reduction counts even where Z has no real
+    pole at -nu/N, so the answer may lie below the smallest real pole."""
     z = z.reduced()
     if not z.denominator:
         raise ValueError("no poles: Z is polynomial in t")
-    # real poles plus, pessimistically, candidates the real-point test
-    # could not discard (possibly complex-only pole lines)
     return min(s0 for s0, _ in z.candidate_poles())
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .context import PadicContext
 from .poly import MultiPoly, blowup_chart_a, blowup_chart_b
-from .zeta import ZetaRational, one_var_integral
+from .zeta import ZetaRational, one_var_integral, zeta_sum
 
 MAX_DEPTH = 200
 
@@ -90,14 +90,9 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 gb, _ = blowup_chart_b(f, xn, yn)
                 subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0] += 1
                 subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0] += 1
-    # The sum's order is part of the output: `reduced()` cancels factors in
-    # the order they entered it, so reordering these loops changes the JSON
-    # (not the value) of some Z.
     measure = {"x": axis_integral(p, 1, A, a), "y": axis_integral(p, 1, B, b),
                "unit": ZetaRational.const(p, Fraction(1, p)), "ov": one_var_integral(p, 1, 1, 1)}
-    total = ZetaRational.zero(p)
-    for (kx, ky), n in factors.items():
-        total = total + (measure[kx] * measure[ky]).scale(n)
-    for (g, *args, k), n in subproblems.items():
-        total = total + _W(g, p, *args, depth + 1).scale(Fraction(n, p**k))
-    return total.scale(scale).shift(tshift + w)
+    terms = [(measure[kx] * measure[ky]).scale(n) for (kx, ky), n in factors.items()]
+    terms += [_W(g, p, *args, depth + 1).scale(Fraction(n, p**k))
+              for (g, *args, k), n in subproblems.items()]
+    return zeta_sum(p, terms).scale(scale).shift(tshift + w)

@@ -7,7 +7,10 @@ candidate poles stay readable and Laurent expansions are cheap.
 A QPoly numerator already is integer coefficients over one denominator,
 which sums and cancellations read with `QPoly.to_ints`: multiplying by a
 factor is an O(deg) integer update (`times_binomials`), dividing by it
-exact top-down integer division (`divide_binomial`).
+exact top-down integer division (`divide_binomial`).  `zeta_sum` is the
+one sum, over the union of the terms' factor multisets; `reduced` cancels
+in descending (N, nu) order, so a reduced Z and its JSON depend only on
+the numerator and the factor multiset, not on the order of the sums.
 
 Near a candidate pole s0, t = t0 exp(-U) with t0 = p^(-s0) and
 U = (s - s0) log p, so a polynomial sum c_i t^i has the closed-form
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from itertools import zip_longest
+from math import factorial, gcd, lcm
 
 from .context import is_prime
 from .qpoly import QPoly
@@ -34,9 +38,10 @@ from .radical import RadicalScalar, ResidueValue
 class ZetaRational:
     """N(t) / prod (1 - p^(-nu) t^N)^mult, exact over Q.
 
-    `+` lifts both numerators to the union of the denominator multisets
-    and adds them as QPolys; `reduced` cancels factors by exact integer
-    division.  Neither leaves the integers.
+    `+` is `zeta_sum` of two terms: both numerators are lifted to the
+    union of the denominator multisets and added as integer lists.
+    `reduced` cancels factors by exact integer division, in descending
+    (N, nu) order.  Neither leaves the integers.
     """
 
     __slots__ = ("p", "numerator", "denominator")
@@ -68,48 +73,27 @@ class ZetaRational:
         return ZetaRational(self.p, self.numerator.shift(k), self.denominator)
 
     def __add__(self, other: "ZetaRational") -> "ZetaRational":
-        if isinstance(other, (int, Fraction)):
-            other = ZetaRational.const(self.p, other)
-        if other.p != self.p:
-            raise ValueError("mixed primes")
-        den = Counter()
-        for key in set(self.denominator) | set(other.denominator):
-            den[key] = max(self.denominator[key], other.denominator[key])
-        a = times_binomials(*self.numerator.to_ints(), self.p, den - self.denominator)
-        b = times_binomials(*other.numerator.to_ints(), self.p, den - other.denominator)
-        return ZetaRational(self.p, QPoly.from_ints(*a) + QPoly.from_ints(*b), den)
+        return zeta_sum(self.p, (self, other))
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "ZetaRational") -> "ZetaRational":
-        return self + other.scale(-1)
-
-    def __mul__(self, other) -> "ZetaRational":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "ZetaRational") -> "ZetaRational":
         if other.p != self.p:
             raise ValueError("mixed primes")
         return ZetaRational(
             self.p, self.numerator * other.numerator, self.denominator + other.denominator
         )
 
-    __rmul__ = __mul__
-
     def reduced(self) -> "ZetaRational":
-        """Cancel denominator factors that divide the numerator exactly."""
+        """Cancel each denominator factor as often as it divides the numerator,
+        in one pass in descending (N, nu) order.  Dividing only removes roots,
+        so a factor that does not divide now cannot divide later."""
         if self.is_zero():
             return ZetaRational.zero(self.p)
         cs, d = self.numerator.to_ints()
         den = Counter(self.denominator)
-        changed = True
-        while changed:
-            changed = False
-            for key in [k for k, m in den.items() if m > 0]:
-                q = divide_binomial(cs, self.p, *key)
-                if q is not None:
-                    cs = q
-                    den[key] -= 1
-                    changed = True
+        for key in sorted(den, reverse=True):
+            while den[key] and (q := divide_binomial(cs, self.p, *key)) is not None:
+                cs = q
+                den[key] -= 1
         return ZetaRational(self.p, QPoly.from_ints(cs, d), den)
 
     def candidate_poles(self) -> list[tuple[Fraction, int]]:
@@ -199,6 +183,23 @@ def times_binomials(cs: list[int], d: int, p: int, factors) -> tuple[list[int], 
             out[N:] = [a - c for a, c in zip(out[N:], cs)]
             cs, d = out, d * pn
     return cs, d
+
+
+def zeta_sum(p: int, terms) -> ZetaRational:
+    """The sum of a sequence of ZetaRationals at p over one denominator: for
+    each factor the largest multiplicity any term has.  Each numerator is
+    lifted to it once (`times_binomials`) and the integer lists are added
+    once, so the factor multiset does not depend on the order of the terms."""
+    if any(z.p != p for z in terms):
+        raise ValueError("mixed primes")
+    den: Counter = Counter()
+    for z in terms:
+        den |= z.denominator
+    lifted = [times_binomials(*z.numerator.to_ints(), p, den - z.denominator) for z in terms]
+    D = lcm(*(d for _, d in lifted))
+    scaled = ([D // d * c for c in cs] for cs, d in lifted)
+    total = [sum(col) for col in zip_longest(*scaled, fillvalue=0)]
+    return ZetaRational(p, QPoly.from_ints(total, D), den)
 
 
 def one_var_integral(p: int, j: int, N: int, nu: int) -> ZetaRational:

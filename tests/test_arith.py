@@ -1,5 +1,6 @@
 """Exact rational-function arithmetic, radical scalars, Laurent data."""
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -18,6 +19,7 @@ from igusa.zeta import (
     poincare_from_zeta,
     series_coeffs,
     times_binomials,
+    zeta_sum,
 )
 from igusa.poly import parse_poly
 from igusa.counting import count_naive
@@ -311,6 +313,48 @@ def test_reduced_cancels_whole_factors():
     red = bloated.reduced()
     assert dict(red.denominator) == {(2, 2): 1}
     assert series_coeffs(red, 6) == series_coeffs(z, 6)
+
+
+def test_reduced_ignores_factor_insertion_order():
+    # 1 - t^2/4 = (1 - t/2)(1 + t/2): the factor (2, 2) cancels it whole
+    # whichever of (1, 1) and (2, 2) entered the denominator first
+    num = QPoly([1, 0, Fraction(-1, 4)])
+    want = ZetaRational(2, QPoly.const(1), {(1, 1): 1}).to_json()
+    for den in ({(1, 1): 1, (2, 2): 1}, {(2, 2): 1, (1, 1): 1}):
+        assert ZetaRational(2, num, den).reduced().to_json() == want
+
+
+@st.composite
+def _zeta_terms(draw):
+    """Products of one_var_integral factors at p = 2 or 3, some times one
+    binomial 1 - p^(-nu) t^N shared by the whole sum."""
+    p = draw(st.sampled_from([2, 3]))
+    shared = ZetaRational(p, _binomial(p, draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    terms = []
+    for factors, times_shared in draw(st.lists(st.tuples(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(1, 4)),
+                     min_size=1, max_size=3), st.booleans()), min_size=1, max_size=4)):
+        term = shared if times_shared else ZetaRational.const(p, 1)
+        for j, N, nu in factors:
+            term = term * one_var_integral(p, j, N, nu)
+        terms.append(term)
+    return p, terms
+
+
+@settings(max_examples=300)
+@given(_zeta_terms(), st.randoms(use_true_random=False))
+def test_reduced_json_ignores_summation_order(case, rnd):
+    p, terms = case
+    total = zeta_sum(p, terms)
+    want = json.dumps(total.reduced().to_json())
+    rnd.shuffle(terms)
+    pairwise = terms[0]
+    for z in terms[1:]:
+        pairwise = pairwise + z
+    factors = list(total.denominator.items())
+    rnd.shuffle(factors)
+    for z in (zeta_sum(p, terms), pairwise, ZetaRational(p, total.numerator, dict(factors))):
+        assert json.dumps(z.reduced().to_json()) == want
 
 
 def test_vp():

@@ -164,14 +164,18 @@ def test_matches_counts(text, p):
 
 
 
-@pytest.mark.parametrize("text", CORPUS[:-1])
-@pytest.mark.parametrize("p", [2, 3])
-def test_variable_order_does_not_change_z(text, p):
-    # the descent's class sums depend on which variable comes first, Z may not
+@pytest.mark.parametrize(
+    "p, text",
+    [(p, text) for text in CORPUS[:-1] for p in (2, 3)]
+    + [(3, "y^2-x^4"), (3, "y^4-x^2"), (2, "y^2-x^7")],
+)
+def test_variable_order_does_not_change_z(p, text):
+    # the descent's class sums depend on which variable comes first, so its
+    # factors arrive in another order; neither Z nor its JSON may
     ctx = PadicContext(p, 2)
     xy = zeta_two_var(parse_poly(text, vars=("x", "y")), ctx)
     yx = zeta_two_var(parse_poly(text, vars=("y", "x")), ctx)
-    assert xy == yx
+    assert json.dumps(xy.to_json()) == json.dumps(yx.to_json())
 
 def test_xy_product_form():
     # Z of x*y is the square of the one-variable zeta
