@@ -104,8 +104,8 @@ def integrate_univariate(h: MultiPoly, box_j: int, ctx: PadicContext) -> ZetaRat
     """Exact value of the integral of |h(u)|^s over P^box_j.
 
     Runs the class descent `integrate2d._W` on h as a polynomial in (u, w)
-    that does not involve w, over P^box_j x Z_p.  Requires a nonzero
-    squarefree h.
+    that does not involve w, over P^box_j x Z_p; w is then one class, its
+    whole axis.  Requires a nonzero squarefree h.
     """
     if h.is_zero():
         raise ValueError("h must be nonzero")

@@ -4,18 +4,32 @@ Computes W = integral over p^(j1)Z_p x p^(j2)Z_p of
     |f(x,y)|^s |x|^(A s + a - 1) |y|^(B s + b - 1) |dx dy|
 as a ZetaRational; the weights (A,a), (B,b) collect the monomial factors
 of blowups, so the recursion mirrors an embedded resolution of f.  Each
-call sorts the p^2 classes mod p by kind and integrates each kind once: a
+call sorts the classes mod p by kind and integrates each kind once: a
 class where f is a unit or smooth counts towards a product of
-per-coordinate measures; any other class is a subproblem, reached by one
-affine substitution (`MultiPoly.subs`) or, at the origin, by the blowup
-charts.  Equal subproblems run once, scaled by their count.  This is the
-only class descent: `charts.integrate_univariate` runs it on f free of y.
+per-coordinate measures; a coordinate that f does not involve is one
+class carrying its whole axis measure; any other class is a subproblem,
+reached by one affine substitution (`MultiPoly.subs`) or, at the origin,
+by the blowup charts.  Equal subproblems run once, scaled by their count.
+This is the only class descent: `charts.integrate_univariate` runs it on
+f free of y.
+
+A crossing class (c, 0) of a weighted y axis, where f = 0 and f_y != 0
+mod p and x runs over c + pZ_p unweighted, closes in one step.  For each
+x, f is an isometry of pZ_p in y: |f| = |y - y0|, k = v(y0) = v(h(x)),
+h(x) = f(x, 0).  With lam = p^(-b) t^(B+1), the y-integral over v(y) < k
+is one_var(1, B+1, b) - one_var(0, B+1, b) lam^k, over v(y) = k
+((p-2)/p + one_var(1, 1, 1)) lam^k, over v(y) > k axis(1, B, b) lam^k.
+So it is alpha + beta lam^k, and the class adds (alpha + beta Z_h'(lam))/p,
+h'(x) = h(c + p x): one descent on h', then `ZetaRational.substitute`.
+At (B, b) = (0, 1) beta is 0: the smooth rule.  The class (0, d) of a
+weighted x axis is the same with x and y swapped.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from .context import PadicContext
 from .poly import MultiPoly, blowup_chart_a, blowup_chart_b
@@ -42,6 +56,13 @@ def zeta_two_var(f: MultiPoly, ctx: PadicContext) -> ZetaRational:
     return z.reduced()
 
 
+def _crossing(p: int, B: int, b: int, z: ZetaRational) -> ZetaRational:
+    """alpha + beta z(lam) for a crossing of the weighted axis (B, b)."""
+    beta = zeta_sum(p, [ZetaRational.const(p, Fraction(p - 2, p)), one_var_integral(p, 1, 1, 1),
+                        axis_integral(p, 1, B, b), one_var_integral(p, 0, B + 1, b).scale(-1)])
+    return zeta_sum(p, [one_var_integral(p, 1, B + 1, b), beta * z.substitute(B + 1, b)])
+
+
 def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, depth: int) -> ZetaRational:
     if depth > MAX_DEPTH:
         raise ArithmeticError("integration recursion depth exceeded")
@@ -61,19 +82,30 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
     fx, fy = f.derivative(xn), f.derivative(yn)
     # Sort the classes (c, d) mod p by kind: `factors` counts products of
     # per-coordinate measures, `subproblems` the classes that descend, keyed
-    # by the arguments of the recursive call and the k of its scale p^-k.
+    # by the arguments of the recursive call, the k of its scale p^-k and
+    # the weighted axis it crosses, if any.  None is a whole free axis.
     factors: Counter = Counter()
     subproblems: Counter = Counter()
-    for c in range(p):
-        for d in range(p):
-            kx = "unit" if c else "x"
-            ky = "unit" if d else "y"
-            if f.eval_int((c, d)) % p != 0:
+    for c in range(p) if fx.terms else [None]:
+        for d in range(p) if fy.terms else [None]:
+            kx = "X" if c is None else "unit" if c else "x"
+            ky = "Y" if d is None else "unit" if d else "y"
+            # ux, uy: the coordinate runs over c + pZ_p without weight
+            ux = c is not None and (c != 0 or (A, a) == (0, 1))
+            uy = d is not None and (d != 0 or (B, b) == (0, 1))
+            pt = (c or 0, d or 0)
+            if f.eval_int(pt) % p != 0:
                 factors[kx, ky] += 1
-            elif fy.eval_int((c, d)) % p != 0 and (d != 0 or (B, b) == (0, 1)):
+                continue
+            sx, sy = fx.eval_int(pt) % p, fy.eval_int(pt) % p
+            if sy and uy:
                 factors[kx, "ov"] += 1
-            elif fx.eval_int((c, d)) % p != 0 and (c != 0 or (A, a) == (0, 1)):
+            elif sx and ux:
                 factors["ov", ky] += 1
+            elif sy and ux:  # crossing of the weighted y axis: h'(x) = f(c + p x, 0)
+                subproblems[f.subs({xn: (c, p), yn: (0, 0)}), 0, 1, 0, 1, 0, 0, 1, (B, b)] += 1
+            elif sx and uy:
+                subproblems[f.subs({xn: (0, 0), yn: (d, p)}), 0, 1, 0, 1, 0, 0, 1, (A, a)] += 1
             elif c or d or (0, 0) in f.terms:
                 # a unit coordinate is translated by c + p x and loses its
                 # weight; a zero coordinate keeps its weight on pZ_p.  An
@@ -82,17 +114,21 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 g = f.subs({name: (v, p) for name, v in ((xn, c), (yn, d)) if v})
                 wx = (0, 1) if c else (A, a)
                 wy = (0, 1) if d else (B, b)
-                subproblems[(g, *wx, *wy, int(not c), int(not d), bool(c) + bool(d))] += 1
+                subproblems[g, *wx, *wy, int(c == 0), int(d == 0), bool(c) + bool(d), None] += 1
             else:
                 # origin: blow up.  Chart x = u, y = u v covers |y| <= |x|,
                 # chart x = u v, y = v the rest; both restricted to pZ_p^2.
                 ga, mu = blowup_chart_a(f, xn, yn)
                 gb, _ = blowup_chart_b(f, xn, yn)
-                subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0] += 1
-                subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0] += 1
+                subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0, None] += 1
+                subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0, None] += 1
     measure = {"x": axis_integral(p, 1, A, a), "y": axis_integral(p, 1, B, b),
+               "X": axis_integral(p, 0, A, a), "Y": axis_integral(p, 0, B, b),
                "unit": ZetaRational.const(p, Fraction(1, p)), "ov": one_var_integral(p, 1, 1, 1)}
     terms = [(measure[kx] * measure[ky]).scale(n) for (kx, ky), n in factors.items()]
-    terms += [_W(g, p, *args, depth + 1).scale(Fraction(n, p**k))
-              for (g, *args, k), n in subproblems.items()]
+    # equal arguments from different kinds of class run once
+    W = cache(lambda g, *args: _W(g, p, *args, depth + 1))
+    for (g, *args, k, cross), n in subproblems.items():
+        z = W(g, *args)
+        terms.append((_crossing(p, *cross, z) if cross else z).scale(Fraction(n, p**k)))
     return zeta_sum(p, terms).scale(scale).shift(tshift + w)

@@ -72,6 +72,16 @@ class ZetaRational:
         """Multiply by t^k."""
         return ZetaRational(self.p, self.numerator.shift(k), self.denominator)
 
+    def substitute(self, N0: int, nu0: int) -> "ZetaRational":
+        """Z at p^(-nu0) t^N0: c_i t^i becomes c_i p^(-nu0 i) t^(N0 i) and
+        each factor (N, nu) becomes (N N0, nu + nu0 N)."""
+        cs, d = self.numerator.to_ints()
+        n = len(cs)
+        out = [0] * (N0 * n)
+        out[::N0] = [c * self.p ** (nu0 * (n - i)) for i, c in enumerate(cs)]
+        den = {(N * N0, nu + nu0 * N): m for (N, nu), m in self.denominator.items()}
+        return ZetaRational(self.p, QPoly.from_ints(out, d * self.p ** (nu0 * n)), den)
+
     def __add__(self, other: "ZetaRational") -> "ZetaRational":
         return zeta_sum(self.p, (self, other))
 

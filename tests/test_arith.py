@@ -357,6 +357,30 @@ def test_reduced_json_ignores_summation_order(case, rnd):
         assert json.dumps(z.reduced().to_json()) == want
 
 
+@settings(max_examples=200)
+@given(_zeta_terms(), st.integers(1, 4), st.integers(0, 3))
+def test_substitute_moves_each_series_term(case, N0, nu0):
+    # Z(p^(-nu0) t^N0): the coefficient of t^i moves to t^(N0 i) times
+    # p^(-nu0 i), and each factor (N, nu) becomes (N N0, nu + nu0 N)
+    p, terms = case
+    z = zeta_sum(p, terms)
+    sub = z.substitute(N0, nu0)
+    K = 6
+    want = [Fraction(0)] * (N0 * K + 1)
+    for i, c in enumerate(series_coeffs(z, K)):
+        want[N0 * i] = c * Fraction(1, p ** (nu0 * i))
+    assert series_coeffs(sub, N0 * K) == want
+    assert dict(sub.denominator) == {(N * N0, nu + nu0 * N): m for (N, nu), m in z.denominator.items()}
+
+
+def test_substitute_pins_the_factor_map():
+    z = ZetaRational(3, QPoly([1, 2]), {(1, 1): 2, (2, 3): 1})
+    sub = z.substitute(3, 2)
+    assert dict(sub.denominator) == {(3, 3): 2, (6, 7): 1}
+    assert sub.numerator == QPoly([1, 0, 0, Fraction(2, 9)])
+    assert ZetaRational.zero(3).substitute(2, 1).is_zero()
+
+
 def test_vp():
     assert vp(1, 3) == 0
     assert vp(18, 3) == 2

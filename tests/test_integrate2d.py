@@ -153,6 +153,54 @@ def test_descent_rescales_origin_class_with_constant_term(monkeypatch):
     assert ok, (predicted, actual)
 
 
+# inputs whose descent chased the point where a branch crosses a weighted
+# axis one p-adic digit per level, past the depth limit or for minutes;
+# four are squarefree f drawn at random
+CROSSINGS = [
+    ("y*(y+3*x+3)", 3, "xy"),
+    ("y*(y+x^3+1)", 3, "xy"),
+    ("y^2-x^7", 3, "xy"),
+    ("(y-x^2)^2-x^7", 3, "xy"),
+    ("(y-x^2)^2-x^7", 3, "yx"),
+    ("-2*x^4*y^2-x^4*y+2*x^2*y^3+y", 2, "xy"),
+    ("2*x^4*y-3*x^2*y-2*x*y^2-x*y", 3, "xy"),
+    ("x^2*y^2-x*y^3+3*x^3+x*y", 2, "xy"),
+    ("-2*x^4*y^3+2*x*y^4+2*x*y^3+3*x^2", 2, "xy"),
+    ("x*y^2*(x*y+3)", 3, "xy"),
+]
+
+
+@pytest.mark.parametrize("text, p, order", CROSSINGS, ids=[f"{t}-{p}-{o}" for t, p, o in CROSSINGS])
+def test_weighted_axis_crossings_close(text, p, order):
+    f = parse_poly(text, vars=tuple(order))
+    z = zeta_two_var(f, PadicContext(p, 2))
+    assert eval_at_one(z) == 1
+    ok, predicted, actual = verify_zeta_against_counts(z, f, 4)
+    assert ok, (predicted, actual)
+
+
+def test_crossings_of_both_axes_share_one_call(monkeypatch):
+    # the crossings of the x axis and of the y axis of x y^2 (x y + 3) at
+    # p = 3 both reduce to the constant h' = 3, under different weights
+    f = parse_poly("x*y^2*(x*y+3)", vars=("x", "y"))
+    assert _descent_calls(monkeypatch, lambda: zeta_two_var(f, PadicContext(3, 2))) == 0
+
+
+def test_crossings_bound_the_descent(monkeypatch):
+    # y^2-x^5 at p = 3 in (x, y) order took 170 calls while each crossing
+    # of a weighted axis descended digit by digit
+    orig = integrate2d._W
+    calls = itertools.count()
+
+    def counted(*args):
+        next(calls)
+        return orig(*args)
+
+    monkeypatch.setattr(integrate2d, "_W", counted)
+    zeta_two_var(parse_poly("y^2-x^5", vars=("x", "y")), PadicContext(3, 2))
+    assert next(calls) <= 80
+
+
 @pytest.mark.parametrize("text", CORPUS)
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_matches_counts(text, p):
@@ -167,7 +215,7 @@ def test_matches_counts(text, p):
 @pytest.mark.parametrize(
     "p, text",
     [(p, text) for text in CORPUS[:-1] for p in (2, 3)]
-    + [(3, "y^2-x^4"), (3, "y^4-x^2"), (2, "y^2-x^7")],
+    + [(3, "y^2-x^4"), (3, "y^4-x^2"), (2, "y^2-x^7"), (3, "y^2-x^7")],
 )
 def test_variable_order_does_not_change_z(p, text):
     # the descent's class sums depend on which variable comes first, so its
