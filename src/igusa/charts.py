@@ -86,9 +86,9 @@ def zeta_from_charts(
     measure = Fraction(0)
     pieces = []
     for cell in cells:
-        pref = Fraction(1, p ** (cell.ord_eta + sum(cell.box[cell.k :])))
-        piece = ZetaRational.const(p, pref).shift(cell.ord_eps)
-        for j, (N, nu) in zip(cell.box, cell.monomials):
+        # an unweighted coordinate is (N, nu) = (0, 1): its measure p^-j
+        piece = ZetaRational.const(p, Fraction(1, p**cell.ord_eta)).shift(cell.ord_eps)
+        for j, (N, nu) in zip(cell.box, cell.monomials + ((0, 1),) * (cell.n - cell.k)):
             piece = piece * one_var_integral(p, j, N, nu)
         pieces.append(piece)
         measure += Fraction(1, p ** sum(cell.box))

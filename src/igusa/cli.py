@@ -28,7 +28,7 @@ from .divisibility import (
     min_shift,
     smallest_real_pole,
 )
-from .families import zeta_sum_squares, zeta_x2_ayl, zeta_xy_zi
+from .families import zeta_xy_zi
 from .integrate2d import zeta_two_var
 from .poly import parse_poly
 from .resolve import NonRationalCenterError, resolve_germ
@@ -110,11 +110,7 @@ def cmd_zeta(args) -> int:
         ctx = PadicContext(p, cells[0].n)
         z = zeta_from_charts(cells, ctx)
     elif args.family == "sum-squares":
-        z, _ = zeta_sum_squares(PadicContext(p, 2))
-    elif args.family == "x2ayl":
-        if args.a is None or args.l is None:
-            raise UsageError("x2ayl needs --a and --l")
-        _, _, z = zeta_x2_ayl(PadicContext(p, 2), args.a, args.l)
+        z = zeta_two_var(parse_poly("x^2+y^2"), PadicContext(p, 2))
     elif args.family == "xyzi":
         if args.i is None:
             raise UsageError("xyzi needs --i")
@@ -148,7 +144,7 @@ def cmd_resolve(args) -> int:
 def cmd_laurent(args) -> int:
     z = _load_json(args.zeta, ZetaRational.from_json)
     s0 = _fraction(args.s0)
-    exp = laurent_at(z, s0, extra=max(args.m, 2))
+    exp = laurent_at(z, s0, extra=0)
     coeffs = {}
     text = [f"pole order {exp.pole_order} at s0 = {_fmt_frac(s0)}"]
     for k in range(exp.pole_order, -1, -1):
@@ -237,11 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-k", type=int, required=True)
 
     c = sub.add_parser("zeta")
-    c.add_argument("--family", choices=["sum-squares", "x2ayl", "xyzi"])
+    c.add_argument("--family", choices=["sum-squares", "xyzi"])
     c.add_argument("--charts")
     c.add_argument("-f")
-    c.add_argument("--a", type=int)
-    c.add_argument("--l", type=int)
     c.add_argument("--i", type=int)
     c.add_argument("--p", type=int, required=True)
 
@@ -252,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("laurent")
     c.add_argument("--zeta", required=True)
     c.add_argument("--s0", required=True)
-    c.add_argument("-m", type=int, default=2)
+    c.add_argument("-m", type=int, default=2, help="ignored: the output is b_-k..b_0 at any -m")
 
     c = sub.add_parser("poles")
     c.add_argument("--zeta", required=True)

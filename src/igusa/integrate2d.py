@@ -4,22 +4,24 @@ Computes W = integral over p^(j1)Z_p x p^(j2)Z_p of
     |f(x,y)|^s |x|^(A s + a - 1) |y|^(B s + b - 1) |dx dy|
 as a ZetaRational; the weights (A,a), (B,b) collect the monomial factors
 of blowups, so the recursion mirrors an embedded resolution of f.  Each
-call sorts the classes mod p by kind and integrates each kind once: a
-class where f is a unit or smooth counts towards a product of
-per-coordinate measures; a coordinate that f does not involve is one
-class carrying its whole axis measure; any other class is a subproblem,
-reached by one affine substitution (`MultiPoly.subs`) or, at the origin,
-by the blowup charts.  Equal subproblems run once, scaled by their count.
-This is the only class descent: `charts.integrate_univariate` runs it on
-f free of y.
+call sorts the classes mod p by kind and integrates each kind once.  A
+class where f is a unit or smooth adds a product of per-coordinate
+measures `one_var_integral(p, j, N, nu)`, each kind being its key
+(j, N, nu): (0, A, a) a whole axis that f does not involve, (1, 0, 1) = 1/p
+a unit class, (1, A, a) the class at 0, (1, 1, 1) a smooth lift.  Any
+other class is a subproblem, reached by one affine substitution
+(`MultiPoly.subs`) or, at the origin, by the blowup charts.  Equal
+subproblems run once, scaled by their count.  This is the only class
+descent: `charts.integrate_univariate` runs it on f free of y.
 
 A crossing class (c, 0) of a weighted y axis, where f = 0 and f_y != 0
 mod p and x runs over c + pZ_p unweighted, closes in one step.  For each
 x, f is an isometry of pZ_p in y: |f| = |y - y0|, k = v(y0) = v(h(x)),
-h(x) = f(x, 0).  With lam = p^(-b) t^(B+1), the y-integral over v(y) < k
-is one_var(1, B+1, b) - one_var(0, B+1, b) lam^k, over v(y) = k
-((p-2)/p + one_var(1, 1, 1)) lam^k, over v(y) > k axis(1, B, b) lam^k.
-So it is alpha + beta lam^k, and the class adds (alpha + beta Z_h'(lam))/p,
+h(x) = f(x, 0).  With lam = p^(-b) t^(B+1) and m = `one_var_integral`,
+the y-integral over v(y) < k is m(1, B+1, b) - m(0, B+1, b) lam^k, over
+v(y) = k (m(0, 0, 1) - 2 m(1, 0, 1) + m(1, 1, 1)) lam^k (the units less
+the class of y0, then that class), over v(y) > k m(1, B, b) lam^k.  So it
+is alpha + beta lam^k, and the class adds (alpha + beta Z_h'(lam))/p,
 h'(x) = h(c + p x): one descent on h', then `ZetaRational.substitute`.
 At (B, b) = (0, 1) beta is 0: the smooth rule.  The class (0, d) of a
 weighted x axis is the same with x and y swapped.
@@ -38,12 +40,9 @@ from .zeta import ZetaRational, one_var_integral, zeta_sum
 MAX_DEPTH = 200
 
 
-def axis_integral(p: int, j: int, A: int, a: int) -> ZetaRational:
-    """Integral of |x|^(A s + a - 1) over p^j Z_p."""
-    if A >= 1:
-        return one_var_integral(p, j, A, a)
-    c = Fraction(p - 1, p) * Fraction(1, p ** (j * a)) / (1 - Fraction(1, p**a))
-    return ZetaRational.const(p, c)
+# built once per process and shared: ZetaRational operations return new objects
+_measure = cache(one_var_integral)
+UNIT, LIFT = (1, 0, 1), (1, 1, 1)
 
 
 def zeta_two_var(f: MultiPoly, ctx: PadicContext) -> ZetaRational:
@@ -56,11 +55,15 @@ def zeta_two_var(f: MultiPoly, ctx: PadicContext) -> ZetaRational:
     return z.reduced()
 
 
+@cache
+def _beta(p: int, B: int, b: int) -> ZetaRational:
+    return zeta_sum(p, [_measure(p, 0, 0, 1), _measure(p, *UNIT).scale(-2), _measure(p, *LIFT),
+                        _measure(p, 1, B, b), _measure(p, 0, B + 1, b).scale(-1)])
+
+
 def _crossing(p: int, B: int, b: int, z: ZetaRational) -> ZetaRational:
     """alpha + beta z(lam) for a crossing of the weighted axis (B, b)."""
-    beta = zeta_sum(p, [ZetaRational.const(p, Fraction(p - 2, p)), one_var_integral(p, 1, 1, 1),
-                        axis_integral(p, 1, B, b), one_var_integral(p, 0, B + 1, b).scale(-1)])
-    return zeta_sum(p, [one_var_integral(p, 1, B + 1, b), beta * z.substitute(B + 1, b)])
+    return zeta_sum(p, [_measure(p, 1, B + 1, b), _beta(p, B, b) * z.substitute(B + 1, b)])
 
 
 def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, depth: int) -> ZetaRational:
@@ -80,28 +83,27 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
         f = MultiPoly(f.vars, {(i - ex, j - ey): c // p**w for (i, j), c in f.terms.items()})
     A, B = A + ex, B + ey
     fx, fy = f.derivative(xn), f.derivative(yn)
-    # Sort the classes (c, d) mod p by kind: `factors` counts products of
-    # per-coordinate measures, `subproblems` the classes that descend, keyed
-    # by the arguments of the recursive call, the k of its scale p^-k and
-    # the weighted axis it crosses, if any.  None is a whole free axis.
+    # Sort the classes (c, d) mod p by kind: `factors` counts pairs of
+    # measure keys, `subproblems` the classes that descend, keyed by the
+    # arguments of the recursive call, the k of its scale p^-k and the
+    # weighted axis it crosses, if any.  None is a whole free axis.  A
+    # coordinate runs over c + pZ_p without weight iff its key is UNIT.
     factors: Counter = Counter()
     subproblems: Counter = Counter()
     for c in range(p) if fx.terms else [None]:
         for d in range(p) if fy.terms else [None]:
-            kx = "X" if c is None else "unit" if c else "x"
-            ky = "Y" if d is None else "unit" if d else "y"
-            # ux, uy: the coordinate runs over c + pZ_p without weight
-            ux = c is not None and (c != 0 or (A, a) == (0, 1))
-            uy = d is not None and (d != 0 or (B, b) == (0, 1))
+            kx = (0, A, a) if c is None else UNIT if c else (1, A, a)
+            ky = (0, B, b) if d is None else UNIT if d else (1, B, b)
+            ux, uy = kx == UNIT, ky == UNIT
             pt = (c or 0, d or 0)
             if f.eval_int(pt) % p != 0:
                 factors[kx, ky] += 1
                 continue
             sx, sy = fx.eval_int(pt) % p, fy.eval_int(pt) % p
             if sy and uy:
-                factors[kx, "ov"] += 1
+                factors[kx, LIFT] += 1
             elif sx and ux:
-                factors["ov", ky] += 1
+                factors[LIFT, ky] += 1
             elif sy and ux:  # crossing of the weighted y axis: h'(x) = f(c + p x, 0)
                 subproblems[f.subs({xn: (c, p), yn: (0, 0)}), 0, 1, 0, 1, 0, 0, 1, (B, b)] += 1
             elif sx and uy:
@@ -122,10 +124,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 gb, _ = blowup_chart_b(f, xn, yn)
                 subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0, None] += 1
                 subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0, None] += 1
-    measure = {"x": axis_integral(p, 1, A, a), "y": axis_integral(p, 1, B, b),
-               "X": axis_integral(p, 0, A, a), "Y": axis_integral(p, 0, B, b),
-               "unit": ZetaRational.const(p, Fraction(1, p)), "ov": one_var_integral(p, 1, 1, 1)}
-    terms = [(measure[kx] * measure[ky]).scale(n) for (kx, ky), n in factors.items()]
+    terms = [(_measure(p, *kx) * _measure(p, *ky)).scale(n) for (kx, ky), n in factors.items()]
     # equal arguments from different kinds of class run once
     W = cache(lambda g, *args: _W(g, p, *args, depth + 1))
     for (g, *args, k, cross), n in subproblems.items():

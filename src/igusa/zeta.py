@@ -213,12 +213,14 @@ def zeta_sum(p: int, terms) -> ZetaRational:
 
 
 def one_var_integral(p: int, j: int, N: int, nu: int) -> ZetaRational:
-    """Integral of |x|^(N s + nu - 1) over p^j Z_p, as an element of Q(t).
-
-    Equals (1 - 1/p) p^(-j nu) t^(j N) / (1 - p^(-nu) t^N).
-    """
-    if N < 1 or nu < 1:
-        raise ValueError("need N >= 1 and nu >= 1")
+    """Integral of |x|^(N s + nu - 1) over p^j Z_p, N >= 0, as an element of
+    Q(t): (1 - 1/p) p^(-j nu) t^(j N) / (1 - p^(-nu) t^N), a constant at
+    N = 0 (p^(-j) at nu = 1).  The one per-coordinate measure: the descent's
+    closed classes, its crossing rule and the chart formula all read it."""
+    if N < 0 or nu < 1:
+        raise ValueError("need N >= 0 and nu >= 1")
+    if N == 0:
+        return ZetaRational.const(p, Fraction((p - 1) * p ** (nu - 1), p ** (j * nu) * (p**nu - 1)))
     num = QPoly.monomial(Fraction(p - 1, p) * Fraction(1, p ** (j * nu)), j * N)
     return ZetaRational(p, num, {(N, nu): 1})
 

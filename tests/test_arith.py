@@ -1,5 +1,6 @@
 """Exact rational-function arithmetic, radical scalars, Laurent data."""
 
+import itertools
 import json
 from fractions import Fraction
 from math import gcd
@@ -198,6 +199,23 @@ def test_one_var_integral_j2():
     assert dict(z.denominator) == {(1, 1): 1}
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_var_integral_n0_is_the_series_limit(p):
+    # N = 0: the constant sum_{k >= j} (1 - 1/p) p^(-k nu); each partial
+    # sum to k = K leaves the tail c p^(-(K + 1 - j) nu)
+    for j, nu in itertools.product([0, 1, 2], [1, 2]):
+        z = one_var_integral(p, j, 0, nu)
+        assert not z.denominator and z.numerator.degree == 0
+        c = z.numerator.coeffs[0]
+        partial = Fraction(0)
+        for k in range(j, j + 6):
+            partial += Fraction(p - 1, p) * Fraction(1, p ** (k * nu))
+            assert c - partial == c * Fraction(1, p ** ((k + 1 - j) * nu))
+    for N, nu in ((-1, 1), (1, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            one_var_integral(p, 0, N, nu)
+
+
 def test_one_var_integral_cube_counts():
     # f = x^3 on Z_2: M_i = 2^(i - ceil(i/3)), checked against enumeration
     z = one_var_integral(2, 0, 3, 1)
@@ -371,6 +389,26 @@ def test_substitute_moves_each_series_term(case, N0, nu0):
         want[N0 * i] = c * Fraction(1, p ** (nu0 * i))
     assert series_coeffs(sub, N0 * K) == want
     assert dict(sub.denominator) == {(N * N0, nu + nu0 * N): m for (N, nu), m in z.denominator.items()}
+
+
+@settings(max_examples=100)
+@given(_zeta_terms(), st.integers(1, 3), st.integers(0, 2))
+def test_operations_leave_their_operands_unchanged(case, N0, nu0):
+    # the descent shares each one_var_integral value across calls, which is
+    # safe only while no operation mutates an operand
+    p, terms = case
+    total = zeta_sum(p, terms)
+    operands = [*terms, total, total * terms[0], one_var_integral(p, 1, 0, 1)]
+    before = [json.dumps(z.to_json()) for z in operands]
+    for a, b in itertools.product(operands, repeat=2):
+        a + b, a * b
+    zeta_sum(p, operands)
+    for z in operands:
+        z.scale(Fraction(-2, 3)), z.shift(2), z.substitute(N0, nu0), z.reduced()
+        eval_at_one(z), series_coeffs(z, 6)
+        for s0, _ in z.candidate_poles():
+            laurent_at(z, s0), z.is_real_pole(s0)
+    assert [json.dumps(z.to_json()) for z in operands] == before
 
 
 def test_substitute_pins_the_factor_map():

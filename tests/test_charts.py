@@ -39,6 +39,13 @@ def test_two_coordinate_cell():
     z = zeta_from_charts([cell], ctx)
     expected = one_var_integral(3, 0, 1, 1) * one_var_integral(3, 0, 1, 1)
     assert _same(z, expected)
+    # one weighted and one unweighted coordinate on the box P^2 x P^1, with
+    # |eta| = p^-1: the weighted measure times p^-1 p^-1
+    cell = ChartCell(k=1, monomials=((2, 3),), box=(2, 1), ord_eta=1)
+    with pytest.warns(UserWarning):
+        z = zeta_from_charts([cell], ctx)
+    expected = one_var_integral(3, 2, 2, 3).scale(Fraction(1, 9))
+    assert z.to_json() == expected.reduced().to_json()
 
 
 def test_unit_cell():

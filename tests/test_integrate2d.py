@@ -225,6 +225,13 @@ def test_variable_order_does_not_change_z(p, text):
     yx = zeta_two_var(parse_poly(text, vars=("y", "x")), ctx)
     assert json.dumps(xy.to_json()) == json.dumps(yx.to_json())
 
+def test_descent_is_repeatable():
+    # the second run reuses the measures the first one built
+    f = parse_poly("y^2-x^5")
+    runs = [json.dumps(zeta_two_var(f, PadicContext(3, 2)).to_json()) for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
 def test_xy_product_form():
     # Z of x*y is the square of the one-variable zeta
     from igusa.zeta import one_var_integral
