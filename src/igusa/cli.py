@@ -61,11 +61,9 @@ def _load_json(path: str, parse):
             raise UsageError(f"malformed file {path}: {e!r}") from e
 
 
-def _emit(args, data: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(data, indent=2))
-    else:
-        print(text)
+def _emit(args, data: dict, text) -> None:
+    """Print data as JSON under --json, else text(), built only then."""
+    print(json.dumps(data, indent=2) if args.json else text())
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -78,7 +76,7 @@ def cmd_count(args) -> int:
     counter = count_naive if args.mode == "naive" else count_hensel
     m = counter(f, args.p, args.i)
     _emit(args, {"p": args.p, "i": args.i, "count": m},
-          f"M_{args.i} = {m} solutions of {f} = 0 mod {args.p}^{args.i}")
+          lambda: f"M_{args.i} = {m} solutions of {f} = 0 mod {args.p}^{args.i}")
     return 0
 
 
@@ -86,9 +84,8 @@ def cmd_poincare(args) -> int:
     f = parse_poly(args.f)
     PadicContext(args.p, f.nvars)
     series = poincare_truncation(f, args.p, args.k)
-    counts = series.counts()
     _emit(args, series.to_json(),
-          "\n".join(f"M_{i} = {m}" for i, m in enumerate(counts)))
+          lambda: "\n".join(f"M_{i} = {m}" for i, m in enumerate(series.counts())))
     return 0
 
 
@@ -117,7 +114,7 @@ def cmd_zeta(args) -> int:
         z = zeta_xy_zi(PadicContext(p, 3), args.i)
     else:
         raise UsageError(f"unknown family {args.family!r}")
-    _emit(args, z.to_json(), f"Z(t) = {z!r}")
+    _emit(args, z.to_json(), lambda: f"Z(t) = {z!r}")
     return 0
 
 
@@ -135,9 +132,9 @@ def cmd_resolve(args) -> int:
             for s in tree.strict_components
         ],
     }
-    lines = [f"E{c.id}: (N,nu) = ({c.N},{c.nu})" for c in tree.curves]
-    lines += [f"edge E{a} -- E{b}" for a, b in data["adjacency"]]
-    _emit(args, data, "\n".join(lines) or "already normal crossings")
+    _emit(args, data, lambda: "\n".join(
+        [f"E{c.id}: (N,nu) = ({c.N},{c.nu})" for c in tree.curves]
+        + [f"edge E{a} -- E{b}" for a, b in data["adjacency"]]) or "already normal crossings")
     return 0
 
 
@@ -145,14 +142,12 @@ def cmd_laurent(args) -> int:
     z = _load_json(args.zeta, ZetaRational.from_json)
     s0 = _fraction(args.s0)
     exp = laurent_at(z, s0, extra=0)
-    coeffs = {}
-    text = [f"pole order {exp.pole_order} at s0 = {_fmt_frac(s0)}"]
-    for k in range(exp.pole_order, -1, -1):
-        b = exp.b(k)
-        coeffs[f"b_-{k}" if k else "b_0"] = b.to_json()
-        text.append(f"b_-{k} = {b!r}" if k else f"b_0 = {b!r}")
-    _emit(args, {"s0": args.s0, "pole_order": exp.pole_order, "coefficients": coeffs},
-          "\n".join(text))
+    bs = {f"b_-{k}" if k else "b_0": exp.b(k) for k in range(exp.pole_order, -1, -1)}
+    data = {"s0": _fmt_frac(s0), "pole_order": exp.pole_order,
+            "coefficients": {name: b.to_json() for name, b in bs.items()}}
+    _emit(args, data, lambda: "\n".join(
+        [f"pole order {exp.pole_order} at s0 = {_fmt_frac(s0)}"]
+        + [f"{name} = {b!r}" for name, b in bs.items()]))
     return 0
 
 
@@ -166,8 +161,8 @@ def cmd_poles(args) -> int:
         cands.append({"N": N, "nu": nu, "real_part": _fmt_frac(Fraction(-nu, N)),
                       "real_pole": z.is_real_pole(Fraction(-nu, N))})
     _emit(args, {"candidates": cands},
-          "\n".join(f"-{c['real_part'].lstrip('-')}: N={c['N']}, nu={c['nu']}, "
-                    f"real pole: {c['real_pole']}" for c in cands) or "no candidates")
+          lambda: "\n".join(f"-{c['real_part'].lstrip('-')}: N={c['N']}, nu={c['nu']}, "
+                             f"real pole: {c['real_pole']}" for c in cands) or "no candidates")
     return 0
 
 
@@ -179,12 +174,12 @@ def cmd_verify(args) -> int:
     ok, predicted, actual = verify_zeta_against_counts(z, f, args.k)
     data = {"ok": ok, "predicted": predicted, "actual": actual}
     if ok:
-        _emit(args, data, f"OK: counts match up to p^{args.k}: {actual}")
+        _emit(args, data, lambda: f"OK: counts match up to p^{args.k}: {actual}")
         return 0
     first = next(i for i in range(len(actual)) if predicted[i] != actual[i])
     _emit(args, data,
-          f"MISMATCH at i={first}: zeta predicts {predicted[first]}, "
-          f"counting gives {actual[first]}")
+          lambda: f"MISMATCH at i={first}: zeta predicts {predicted[first]}, "
+                  f"counting gives {actual[first]}")
     return 1
 
 
@@ -207,10 +202,9 @@ def cmd_divisibility(args) -> int:
     if z is not None:
         a_con, _ = constructive_shift(z, f.nvars, l)
         data["a_min_constructive"] = a_con
-    text = (f"l = {_fmt_frac(l)}, n = {f.nvars}, a_min = {a_min}, "
-            f"checked i <= {args.k}: "
-            + ("all divisibility bounds hold" if report.ok else "VIOLATIONS"))
-    _emit(args, data, text)
+    _emit(args, data, lambda: f"l = {_fmt_frac(l)}, n = {f.nvars}, a_min = {a_min}, "
+          f"checked i <= {args.k}: "
+          + ("all divisibility bounds hold" if report.ok else "VIOLATIONS"))
     return 0 if report.ok else 1
 
 

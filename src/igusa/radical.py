@@ -3,7 +3,8 @@
 Elements are represented in the quotient Q[w] / (w^M - p), each by its
 residue: a QPoly in w of degree < M.  For p prime the polynomial w^M - p is
 irreducible over Q (Eisenstein), so the quotient is a field and an element
-is zero exactly when its residue is.
+is zero exactly when its residue is.  `inverse` is a closed form on integers
+for w^k (a + b w^r), and the extended Euclidean algorithm for the rest.
 """
 
 from __future__ import annotations
@@ -89,22 +90,37 @@ class RadicalScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "RadicalScalar":
-        """Field inverse via the extended Euclidean algorithm against w^M - p."""
+        """Field inverse.  One or two terms, w^k (A - B w^r) / D, in closed form:
+        with n = M / gcd(r, M), (A - B w^r) sum_(j<n) A^(n-1-j) B^j w^(rj) is the
+        integer A^n - B^n p^(rn/M), nonzero for p prime.  Three or more terms go
+        through the extended Euclidean algorithm against w^M - p."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        mod = QPoly.from_ints([-self.p] + [0] * (self.M - 1) + [1], 1)
-        # extended gcd: find s with s*a = gcd mod (w^M - p)
-        r0, r1 = mod, self.poly
-        s0, s1 = QPoly(), QPoly.const(1)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        # r0 is a nonzero constant gcd (the modulus is irreducible)
-        if r0.degree != 0:
+        nums, M, p = self.poly.nums, self.M, self.p
+        k, *rest = [i for i, c in enumerate(nums) if c]
+        if len(rest) > 1:  # extended Euclid: s with s a = gcd mod w^M - p
+            mod = QPoly.from_ints([-p] + [0] * (M - 1) + [1], 1)
+            r0, r1 = mod, self.poly
+            s0, s1 = QPoly(), QPoly.const(1)
+            while not r1.is_zero():
+                q, r = r0.divmod(r1)
+                r0, r1 = r1, r
+                s0, s1 = s1, s0 - q * s1
+            # r0 is a nonzero constant gcd (the modulus is irreducible)
+            if r0.degree != 0:
+                raise ArithmeticError("modulus not coprime to element")
+            _, rem = s0.scale(Fraction(r0.den, r0.nums[0])).divmod(mod)
+            return RadicalScalar(p, M, rem)
+        r, B = (rest[0] - k, -nums[-1]) if rest else (0, 0)
+        A, n = nums[k], M // gcd(r, M)
+        vec, c = [0] * M, self.poly.den * A ** (n - 1)
+        for j in range(n):
+            e, s = divmod(r * j - k, M)  # w^(rj-k) = p^e w^s, e >= -1
+            vec[s], c = c * p ** (e + 1), c * B // A
+        den = p * (A**n - B**n * p ** (r * n // M))
+        if not den:
             raise ArithmeticError("modulus not coprime to element")
-        _, rem = s0.scale(Fraction(r0.den, r0.nums[0])).divmod(mod)
-        return RadicalScalar(self.p, self.M, rem)
+        return RadicalScalar(p, M, QPoly.from_ints(vec, den))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -213,9 +229,10 @@ class ResidueValue:
         return f"({self.value!r}) / (log {self.value.p})^{self.logpow}"
 
     def to_json(self) -> dict:
+        cs, d = self.value.poly.to_ints()
+        cs += (0,) * (self.value.M - len(cs))
         return {
             "M": self.value.M,
-            "coeffs": [f"{c.numerator}/{c.denominator}"
-                       for c in self.value.poly.truncated(self.value.M - 1)],
+            "coeffs": [f"{c // g}/{d // g}" for c in cs for g in [gcd(c, d)]],
             "logpow": self.logpow,
         }

@@ -52,6 +52,13 @@ class ZetaRational:
         self.denominator: Counter = +Counter(denominator or {})
 
     @classmethod
+    def _of(cls, p: int, numerator: QPoly, denominator: Counter) -> "ZetaRational":
+        """Z keeping denominator itself: a zero-free Counter, shared, never mutated."""
+        z = cls.__new__(cls)
+        z.p, z.numerator, z.denominator = p, numerator, denominator
+        return z
+
+    @classmethod
     def const(cls, p: int, c: Fraction | int) -> "ZetaRational":
         return cls(p, QPoly.const(c))
 
@@ -66,11 +73,11 @@ class ZetaRational:
         return QPoly.from_ints(*times_binomials([1], 1, self.p, self.denominator))
 
     def scale(self, c: Fraction | int) -> "ZetaRational":
-        return ZetaRational(self.p, self.numerator.scale(c), self.denominator)
+        return ZetaRational._of(self.p, self.numerator.scale(c), self.denominator)
 
     def shift(self, k: int) -> "ZetaRational":
         """Multiply by t^k."""
-        return ZetaRational(self.p, self.numerator.shift(k), self.denominator)
+        return ZetaRational._of(self.p, self.numerator.shift(k), self.denominator)
 
     def substitute(self, N0: int, nu0: int) -> "ZetaRational":
         """Z at p^(-nu0) t^N0: c_i t^i becomes c_i p^(-nu0 i) t^(N0 i) and
@@ -88,7 +95,7 @@ class ZetaRational:
     def __mul__(self, other: "ZetaRational") -> "ZetaRational":
         if other.p != self.p:
             raise ValueError("mixed primes")
-        return ZetaRational(
+        return ZetaRational._of(
             self.p, self.numerator * other.numerator, self.denominator + other.denominator
         )
 
@@ -104,7 +111,7 @@ class ZetaRational:
             while den[key] and (q := divide_binomial(cs, self.p, *key)) is not None:
                 cs = q
                 den[key] -= 1
-        return ZetaRational(self.p, QPoly.from_ints(cs, d), den)
+        return ZetaRational._of(self.p, QPoly.from_ints(cs, d), +den)
 
     def candidate_poles(self) -> list[tuple[Fraction, int]]:
         """Real candidate poles -nu/N with multiplicity from the factored form."""
@@ -123,11 +130,10 @@ class ZetaRational:
         return any(not c.is_zero() for c in u_expansion(self.numerator, self.p, s0, m - 1))
 
     def to_json(self) -> dict:
+        cs, d = self.numerator.to_ints()
         return {
             "p": self.p,
-            "numerator": [
-                [str(c.numerator), str(c.denominator)] for c in self.numerator.coeffs
-            ],
+            "numerator": [[str(c // g), str(d // g)] for c in cs for g in [gcd(c, d)]],
             "denominator": [
                 {"N": N, "nu": nu}
                 for (N, nu), m in sorted(self.denominator.items())
@@ -141,11 +147,13 @@ class ZetaRational:
         N >= 1 and nu >= 1."""
         if not is_prime(data["p"]):
             raise ValueError(f"p = {data['p']} is not prime")
-        num = QPoly([Fraction(int(a), int(b)) for a, b in data["numerator"]])
+        pairs = [(int(a), int(b)) for a, b in data["numerator"]]
+        D = lcm(*(b for _, b in pairs))  # 0 if some b is 0: then D // b raises
+        num = QPoly.from_ints([a * (D // b) for a, b in pairs], D)
         den = Counter((f["N"], f["nu"]) for f in data["denominator"])
         if any(N < 1 or nu < 1 for N, nu in den):
             raise ValueError("need N >= 1 and nu >= 1 in every denominator factor")
-        return cls(data["p"], num, den)
+        return cls._of(data["p"], num, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZetaRational):
@@ -209,7 +217,7 @@ def zeta_sum(p: int, terms) -> ZetaRational:
     D = lcm(*(d for _, d in lifted))
     scaled = ([D // d * c for c in cs] for cs, d in lifted)
     total = [sum(col) for col in zip_longest(*scaled, fillvalue=0)]
-    return ZetaRational(p, QPoly.from_ints(total, D), den)
+    return ZetaRational._of(p, QPoly.from_ints(total, D), den)
 
 
 def one_var_integral(p: int, j: int, N: int, nu: int) -> ZetaRational:

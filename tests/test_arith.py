@@ -89,6 +89,11 @@ def test_radical_scalar_inverse():
     x = RadicalScalar(3, 4, [2, 1, 0, Fraction(-1, 7)])
     one = x * x.inverse()
     assert one.as_rational() == 1
+    # p = 4 is not prime: w^2 - 4 = (w - 2)(w + 2) and w^4 - 4 = (w^2 - 2)(w^2 + 2),
+    # so 2 - w, 2 + w (closed form) and (w^2 - 2)(1 + w) (Euclid) have no inverse
+    for cs in ([2, -1], [2, 1], [-2, -2, 1, 1]):
+        with pytest.raises(ArithmeticError):
+            RadicalScalar(4, len(cs), cs).inverse()
 
 
 def test_radical_scalar_sign():
@@ -167,6 +172,28 @@ def test_radical_kernel_properties(case, k, c, m):
     ]:
         _assert_lowest_terms(q)
     assert QPoly.from_ints([m * x for x in nums] + [0] * k, m * den) == a.poly
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 70), st.data())
+def test_radical_binomial_inverse(p, M, data):
+    """The closed-form inverse of w^k (a + b w^r): k = 0 is a + b w^r, a = 0 a
+    monomial, r = 0 a rational times w^k; M up to 70 as in the residues."""
+    k = data.draw(st.integers(0, M - 1))
+    r = data.draw(st.integers(0, M - 1 - k))
+    a, b = data.draw(_FRACTIONS), data.draw(_FRACTIONS)
+    cs = [Fraction(0)] * M
+    cs[k] += a
+    cs[k + r] += b
+    x = RadicalScalar(p, M, cs)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert x * inv == 1 and inv * x == 1
+    _assert_lowest_terms(inv.poly)
+    assert inv.inverse() == x
 
 
 def _sign(x):
@@ -309,6 +336,18 @@ def test_zeta_json_round_trip():
     assert back.numerator == z.numerator
     assert dict(back.denominator) == dict(z.denominator)
     assert isinstance(data["numerator"][0][0], str)
+
+
+def test_zeta_json_reads_integer_pairs():
+    """A negative denominator flips the sign; coefficients need not share one."""
+    data = {"p": 3, "numerator": [["1", "-2"], ["-6", "-4"], ["0", "7"], ["5", "3"]],
+            "denominator": [{"N": 1, "nu": 1}]}
+    z = ZetaRational.from_json(data)
+    assert z.numerator.coeffs == (Fraction(-1, 2), Fraction(3, 2), 0, Fraction(5, 3))
+    assert z.to_json()["numerator"] == [["-1", "2"], ["3", "2"], ["0", "1"], ["5", "3"]]
+    assert ZetaRational.from_json(z.to_json()).to_json() == z.to_json()
+    with pytest.raises(ZeroDivisionError):
+        ZetaRational.from_json({**data, "numerator": [["1", "2"], ["1", "0"]]})
 
 
 def test_residue_value_json():

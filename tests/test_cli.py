@@ -160,6 +160,17 @@ def test_fraction_inputs_are_exact(capsys, tmp_path):
     assert code == 0
 
 
+def test_laurent_json_echoes_the_reduced_s0(capsys, tmp_path):
+    """--s0=-8/6 is -4/3: JSON carries the reduced value, as the text does."""
+    zfile = tmp_path / "z.json"
+    zfile.write_text(_run(capsys, "--json", "zeta", "--family", "xyzi", "--i", "3", "--p", "3")[1])
+    code, text = _run(capsys, "laurent", "--zeta", str(zfile), "--s0=-8/6")
+    assert code == 0 and text.startswith("pole order 1 at s0 = -4/3\n")
+    reduced = _run(capsys, "--json", "laurent", "--zeta", str(zfile), "--s0=-4/3")[1]
+    code, out = _run(capsys, "--json", "laurent", "--zeta", str(zfile), "--s0=-8/6")
+    assert code == 0 and json.loads(out)["s0"] == "-4/3" and out == reduced
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -197,11 +208,14 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
         ("poles", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 0, "nu": 1}]}),
         ("verify", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 0}]}),
         ("poles", {"p": 4, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 1}]}),
+        ("laurent", {"p": 3, "numerator": [["1", "0"]], "denominator": [{"N": 1, "nu": 1}]}),
+        ("laurent", {"p": 3, "numerator": [["1.5", "2"]], "denominator": [{"N": 1, "nu": 1}]}),
     ],
     ids=["no-cells", "cell-without-monomials", "cells-not-a-list", "box-negative",
          "ord-eta-not-int", "N-not-int", "boxes-of-different-lengths", "ord-eps-negative",
          "zeta-without-numerator", "zeta-without-denominator",
-         "laurent-N-zero", "poles-N-zero", "verify-nu-zero", "poles-p-not-prime"],
+         "laurent-N-zero", "poles-N-zero", "verify-nu-zero", "poles-p-not-prime",
+         "numerator-zero-denominator", "numerator-not-int"],
 )
 def test_malformed_files_are_usage_errors(capsys, tmp_path, cmd, content):
     path = tmp_path / "in.json"
