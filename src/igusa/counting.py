@@ -7,13 +7,12 @@ p, Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) + p^(j-1) grad f(a).d
 = f(a) mod p^j for every digit vector d, since grad f(a) = 0 mod p and
 2(j-1) >= j: all p^n lifts of a pass or fail together.  So the Hensel pass
 evaluates f once per kept zero per level and counts p^n per survivor.
+
+numpy is imported inside the functions that build arrays, so a command that
+does not count never loads it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-import numpy as np
 
 from .poly import MultiPoly
 from .zeta import PoincareSeries, ZetaRational, poincare_from_zeta
@@ -52,6 +51,8 @@ def count_naive(f: MultiPoly, p: int, i: int, budget: int = NAIVE_BUDGET) -> int
         raise ValueError(f"p^(n*i) = {m**n} exceeds budget {budget}")
     if m > 2**31:
         raise ValueError(f"p^i = {m} overflows int64 products")
+    import numpy as np
+
     grids = np.meshgrid(*([np.arange(m, dtype=np.int64)] * n), indexing="ij", sparse=True)
     values = np.asarray(_eval_mod(f, grids, m))
     # variables missing from f leave broadcast dimensions of size 1
@@ -66,12 +67,13 @@ def count_hensel(f: MultiPoly, p: int, i: int) -> int:
 def _zeros(f: MultiPoly, pts, m: int):
     """The rows of pts at which f = 0 mod m (`_eval_mod` of a constant f is
     a scalar, hence the broadcast)."""
+    import numpy as np
+
     return pts[np.broadcast_to(_eval_mod(f, pts.T, m) == 0, len(pts))]
 
 
 def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
-    """P(t) up to t^imax from the counts M_0..M_imax of one Hensel pass:
-    coefficient of t^i is M_i p^(-n i).  Level 1 enumerates the digit
+    """The counts M_0..M_imax of one Hensel pass.  Level 1 enumerates the digit
     vectors, counts the smooth zeros in closed form and keeps the singular
     ones; level j >= 2 evaluates f mod p^j once per kept zero a mod p^(j-1),
     adds p^n to M_j for each survivor (all lifts of a pass with it) and
@@ -80,7 +82,9 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
         raise ValueError(f"level {imax} < 0")
     n, q = f.nvars, p**f.nvars
     if imax == 0:
-        return PoincareSeries(p, n, [Fraction(1)])
+        return PoincareSeries(p, n, [1])
+    import numpy as np
+
     dtype = np.int64 if p**imax <= 2**31 else object
     counts = [1] + [0] * imax
 
@@ -106,7 +110,7 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
         if not len(pts) or j == imax:
             break
         pts = (pts[:, None] + digits(np.arange(q)) * p ** (j - 1)).reshape(-1, n)
-    return PoincareSeries(p, n, [Fraction(M, p ** (n * i)) for i, M in enumerate(counts)])
+    return PoincareSeries(p, n, counts)
 
 
 def verify_zeta_against_counts(

@@ -9,7 +9,7 @@ from math import ceil
 
 from .context import vp
 from .qpoly import QPoly
-from .zeta import PoincareSeries, ZetaRational, divide_binomial
+from .zeta import PoincareSeries, ZetaRational, divide_binomial, poincare_rational
 
 
 @dataclass
@@ -55,30 +55,32 @@ def check_divisibility(M: PoincareSeries, l: Fraction, a: int) -> DivisibilityRe
     passes vacuously."""
     l = Fraction(l)
     n, p = M.n, M.p
+    counts = M.counts()
     violations = []
-    for i, m in enumerate(M.counts()):
+    for i, m in enumerate(counts):
         if m and (short := _shortfall(m, i, n, l, p)) > a:
             v = vp(m, p)
             violations.append({"i": i, "M_i": m, "needed": short + v - a, "v_p": v})
     return DivisibilityReport(l=l, n=n, a_min=a,
-                              checked_up_to=M.imax, violations=violations)
+                              checked_up_to=len(counts) - 1, violations=violations)
+
+
+def _least_shift(values, n: int, l: Fraction, p: int) -> int:
+    """The least a >= 0 with v_p(value_i) >= ceil((n + l) i) - a for every
+    nonzero value_i, i = 0, 1, ..."""
+    return max([0] + [_shortfall(v, i, n, l, p) for i, v in enumerate(values) if v])
 
 
 def min_shift(M: PoincareSeries, l: Fraction) -> int:
     """Smallest integer a with no violations on the observed range."""
-    l = Fraction(l)
-    return max([0] + [_shortfall(m, i, M.n, l, M.p) for i, m in enumerate(M.counts()) if m])
+    return _least_shift(M.counts(), M.n, Fraction(l), M.p)
 
 
 def divisibility_property_check(coeffs, n: int, l: Fraction, p: int, k: int) -> bool:
     """Whether the series sum c_i t^i has the divisibility property up to
     t^k: c_i * p^(n i) is an integer multiple of p^ceil((n+l)i)."""
-    l = Fraction(l)
-    for i, c in enumerate(coeffs[: k + 1]):
-        m = Fraction(c) * Fraction(p) ** (n * i)
-        if m and (m.denominator != 1 or _shortfall(m, i, n, l, p) > 0):
-            return False
-    return True
+    values = [Fraction(c) * Fraction(p) ** (n * i) for i, c in enumerate(coeffs[: k + 1])]
+    return all(v.denominator == 1 for v in values) and not _least_shift(values, n, Fraction(l), p)
 
 
 def constructive_shift(z: ZetaRational, n: int, l: Fraction) -> tuple[int, QPoly]:
@@ -87,24 +89,15 @@ def constructive_shift(z: ZetaRational, n: int, l: Fraction) -> tuple[int, QPoly
     divisibility property, together with C."""
     l = Fraction(l)
     p = z.p
-    den = z.denominator_poly()
-    top = den - QPoly([0, 1]) * z.numerator  # (1 - t Z) * den
-    cs, d = top.to_ints()
-    cs = divide_binomial(cs, p, 1, 0)  # by 1 - t
-    if cs is None:
+    P = poincare_rational(z)
+    if P is None:
         raise ArithmeticError("Z(1) != 1: 1 - tZ not divisible by 1 - t")
+    cs, d = P.numerator.to_ints()
     # divide away the factors below the threshold; must be exact
-    for (N, nu), m in z.denominator.items():
-        if Fraction(-nu, N) >= l:
-            continue
-        for _ in range(m):
-            cs = divide_binomial(cs, p, N, nu)
-            if cs is None:
-                raise ArithmeticError(
-                    "numerator C(t) not polynomial: a below-threshold factor "
-                    "does not divide exactly"
-                )
+    for N, nu in P.denominator.elements():
+        if Fraction(-nu, N) < l and (cs := divide_binomial(cs, p, N, nu)) is None:
+            raise ArithmeticError(
+                "numerator C(t) not polynomial: a below-threshold factor does not divide exactly"
+            )
     c = QPoly.from_ints(cs, d)
-    a = max([0] + [_shortfall(ci * Fraction(p) ** (n * i), i, n, l, p)
-                   for i, ci in enumerate(c.coeffs) if ci])
-    return a, c
+    return _least_shift([ci * Fraction(p) ** (n * i) for i, ci in enumerate(c.coeffs)], n, l, p), c

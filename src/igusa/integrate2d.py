@@ -33,8 +33,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from .context import PadicContext
-from .poly import MultiPoly, blowup_chart_a, blowup_chart_b
+from .context import PadicContext, vp
+from .poly import MultiPoly, blowup_chart_a
 from .zeta import ZetaRational, one_var_integral, zeta_sum
 
 MAX_DEPTH = 200
@@ -76,7 +76,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
         f = f.subs({xn: (0, p**j1), yn: (0, p**j2)})
     # divide out the content p^w (a factor t^w) and the axis factor
     # x^ex y^ey (absorbed into the weights)
-    w = f.content_power(p)
+    w = min(vp(c, p) for c in f.terms.values())
     ex = min(i for i, _ in f.terms)
     ey = min(j for _, j in f.terms)
     if w or ex or ey:
@@ -121,7 +121,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 # origin: blow up.  Chart x = u, y = u v covers |y| <= |x|,
                 # chart x = u v, y = v the rest; both restricted to pZ_p^2.
                 ga, mu = blowup_chart_a(f, xn, yn)
-                gb, _ = blowup_chart_b(f, xn, yn)
+                gb, _ = blowup_chart_a(f, yn, xn)
                 subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0, None] += 1
                 subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0, None] += 1
     terms = [(_measure(p, *kx) * _measure(p, *ky)).scale(n) for (kx, ky), n in factors.items()]

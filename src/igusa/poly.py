@@ -9,8 +9,6 @@ from __future__ import annotations
 import re
 from math import comb
 
-from .context import vp
-
 
 class MultiPoly:
     __slots__ = ("vars", "terms")
@@ -150,18 +148,6 @@ class MultiPoly:
                     v *= x**k
             total += v
         return total
-
-    def content_power(self, p: int) -> int:
-        """Largest w with p^w dividing every coefficient."""
-        if not self.terms:
-            return 0
-        w = None
-        for c in self.terms.values():
-            v = vp(c, p)
-            w = v if w is None else min(w, v)
-            if w == 0:
-                return 0
-        return w
 
     def univariate_coeffs(self) -> list[int]:
         """Coefficients [c_0, c_1, ...] when only one variable occurs."""
@@ -367,22 +353,11 @@ def blowup_chart_a(f: MultiPoly, xname: str, yname: str, tau0: int = 0) -> tuple
 
     The result is expressed in the same variable names (x as u, y as v):
     x^i y^j becomes x^(i+j-mu) y^j, and a center tau0 != 0 then translates
-    y by tau0.  Returns (strict transform, mu)."""
+    y by tau0.  Returns (strict transform, mu).  With the names swapped,
+    blowup_chart_a(f, y, x) is the other chart, x = u v, y = v."""
     mu = f.multiplicity_at_origin()
-    g = _raise_exponent(f, f.vars.index(xname), f.vars.index(yname), mu)
+    i, k = f.vars.index(xname), f.vars.index(yname)
+    g = MultiPoly(f.vars, {e[:i] + (e[i] + e[k] - mu,) + e[i + 1 :]: c for e, c in f.terms.items()})
     if tau0:
         g = g.subs({yname: (tau0, 1)})
     return g, mu
-
-
-def blowup_chart_b(f: MultiPoly, xname: str, yname: str) -> tuple["MultiPoly", int]:
-    """Substitute x = u v, y = v and divide by v^mu (the chart at the
-    vertical direction): x^i y^j becomes x^i y^(i+j-mu), with x in the
-    role of u and y in the role of v."""
-    mu = f.multiplicity_at_origin()
-    return _raise_exponent(f, f.vars.index(yname), f.vars.index(xname), mu), mu
-
-
-def _raise_exponent(f: MultiPoly, i: int, k: int, mu: int) -> MultiPoly:
-    """f with the exponent e_i of every term replaced by e_i + e_k - mu."""
-    return MultiPoly(f.vars, {e[:i] + (e[i] + e[k] - mu,) + e[i + 1 :]: c for e, c in f.terms.items()})

@@ -4,7 +4,9 @@ Elements are represented in the quotient Q[w] / (w^M - p), each by its
 residue: a QPoly in w of degree < M.  For p prime the polynomial w^M - p is
 irreducible over Q (Eisenstein), so the quotient is a field and an element
 is zero exactly when its residue is.  `inverse` is a closed form on integers
-for w^k (a + b w^r), and the extended Euclidean algorithm for the rest.
+for w^k (a + b w^r), and the extended Euclidean algorithm for the rest; that
+one scales each remainder to a primitive integer polynomial, which keeps
+the remainders' coefficients small (over Q they grow at every step).
 """
 
 from __future__ import annotations
@@ -104,8 +106,10 @@ class RadicalScalar:
             s0, s1 = QPoly(), QPoly.const(1)
             while not r1.is_zero():
                 q, r = r0.divmod(r1)
-                r0, r1 = r1, r
-                s0, s1 = s1, s0 - q * s1
+                # make r primitive: s a = r (mod w^M - p) holds under any common scale
+                k = Fraction(r.den, gcd(*r.nums) or 1)
+                r0, r1 = r1, r.scale(k)
+                s0, s1 = s1, (s0 - q * s1).scale(k)
             # r0 is a nonzero constant gcd (the modulus is irreducible)
             if r0.degree != 0:
                 raise ArithmeticError("modulus not coprime to element")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charts import CandidatePole, CharacterSpec, candidate_poles_filtered
-from .poly import MultiPoly, blowup_chart_a, blowup_chart_b, is_squarefree, tangent_cone_factors
+from .poly import MultiPoly, blowup_chart_a, is_squarefree, tangent_cone_factors
 
 
 @dataclass
@@ -84,7 +84,7 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
         raise ValueError("two variables required")
     if f.is_zero():
         raise ValueError("f must be nonzero")
-    if f.eval_int((0, 0)) != 0:
+    if (0, 0) in f.terms:
         raise ValueError("f(0,0) must be 0")
     if not is_squarefree(f):
         raise ValueError("non-squarefree input: pass the reduced part and record multiplicities")
@@ -160,19 +160,15 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
                 components=components,
             )
         )
-        # new sites on the new exceptional curve
-        if ymult >= 1:
-            strict, _ = blowup_chart_a(s, xn, yn)
-            new_axes = {xn: new_id}
-            if yn in axes:
-                new_axes[yn] = axes[yn]
-            sites.append((strict, new_axes))
-        if xmult >= 1:
-            strict, _ = blowup_chart_b(s, xn, yn)
-            new_axes = {yn: new_id}
-            if xn in axes:
-                new_axes[xn] = axes[xn]
-            sites.append((strict, new_axes))
+        # new sites on the new exceptional curve: the chart x = u, y = u v at
+        # the x axis' direction, and the same with the names swapped at the y axis'
+        for mult, u, v in ((ymult, xn, yn), (xmult, yn, xn)):
+            if mult >= 1:
+                strict, _ = blowup_chart_a(s, u, v)
+                new_axes = {u: new_id}
+                if v in axes:
+                    new_axes[v] = axes[v]
+                sites.append((strict, new_axes))
         for cs, m in factors:
             deg = len(cs) - 1
             if deg == 1:

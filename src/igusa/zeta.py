@@ -21,6 +21,11 @@ truncated division of two such lists: the numerator's by the expanded
 denominator product's, less the U^m it vanishes to at a pole of
 multiplicity m.  The real-pole test compares vanishing orders: s0 is a
 pole iff the numerator vanishes at t0 to order less than m.
+
+The Poincare series P(t) = (1 - t Z(t)) / (1 - t) is one more ZetaRational
+over Z's own factors (`poincare_rational`), the one place it is built; its
+series coefficients times p^(n i) are the counts M_i, which a
+`PoincareSeries` stores as integers.
 """
 
 from __future__ import annotations
@@ -249,34 +254,26 @@ def eval_at_one(z: ZetaRational) -> Fraction:
 
 
 class PoincareSeries:
-    """Truncated Poincare series: coefficients of t^i and the counts M_i."""
+    """Truncated Poincare series sum M_i p^(-n i) t^i, stored as its counts
+    M_0..M_imax; the JSON coefficients are read from them."""
 
-    __slots__ = ("p", "n", "coeffs")
+    __slots__ = ("p", "n", "_counts")
 
-    def __init__(self, p: int, n: int, coeffs: list[Fraction]) -> None:
+    def __init__(self, p: int, n: int, counts: list[int]) -> None:
         self.p = p
         self.n = n
-        self.coeffs = coeffs
-
-    @property
-    def imax(self) -> int:
-        return len(self.coeffs) - 1
+        self._counts = list(counts)
 
     def counts(self) -> list[int]:
-        """M_i = p^(n i) * [t^i] P; raises if any value is not an integer."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            v = c * Fraction(self.p) ** (self.n * i)
-            if v.denominator != 1:
-                raise ArithmeticError(f"coefficient of t^{i} gives non-integer count")
-            out.append(v.numerator)
-        return out
+        """M_i, the number of solutions of f = 0 mod p^i."""
+        return list(self._counts)
 
     def to_json(self) -> dict:
+        coeffs = [Fraction(m, self.p ** (self.n * i)) for i, m in enumerate(self._counts)]
         return {
             "p": self.p,
             "n": self.n,
-            "coefficients": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
+            "coefficients": [f"{c.numerator}/{c.denominator}" for c in coeffs],
             "counts": self.counts(),
         }
 
@@ -293,24 +290,29 @@ def series_coeffs(z: ZetaRational, imax: int) -> list[Fraction]:
     return cs
 
 
+def poincare_rational(z: ZetaRational) -> ZetaRational | None:
+    """P(t) = (1 - t Z(t)) / (1 - t) over Z's own factors: the numerator is
+    (D - t N) / (1 - t) for Z = N / D.  None when 1 - t does not divide,
+    that is when Z(1) != 1."""
+    cs, d = (z.denominator_poly() - z.numerator.shift(1)).to_ints()
+    cs = divide_binomial(cs, z.p, 1, 0)
+    return None if cs is None else ZetaRational._of(z.p, QPoly.from_ints(cs, d), z.denominator)
+
+
 def poincare_from_zeta(z: ZetaRational, n: int, imax: int) -> PoincareSeries:
-    """P(t) = (1 - t Z(t)) / (1 - t), truncated at t^imax."""
-    if eval_at_one(z) != 1:
+    """The counts M_i = p^(n i) [t^i] P(t), i <= imax, that Z predicts for
+    an f in n variables; raises ValueError unless Z(1) = 1 and every M_i is
+    a non-negative integer."""
+    P = poincare_rational(z)
+    if P is None:
         raise ValueError("Z(1) != 1: not a zeta function of a polynomial")
-    zc = series_coeffs(z, imax)
-    # numerator 1 - t Z
-    top = [Fraction(1)] + [-zc[i] for i in range(imax)]
-    # divide by (1 - t): partial sums
-    out = []
-    acc = Fraction(0)
-    for c in top:
-        acc += c
-        out.append(acc)
-    for i, c in enumerate(out):
+    counts = []
+    for i, c in enumerate(series_coeffs(P, imax)):
         m = c * Fraction(z.p) ** (n * i)
         if m.denominator != 1 or m < 0:
             raise ValueError(f"M_{i} = {m} is not a non-negative integer")
-    return PoincareSeries(z.p, n, out)
+        counts.append(m.numerator)
+    return PoincareSeries(z.p, n, counts)
 
 
 # -- Laurent expansion --------------------------------------------------------

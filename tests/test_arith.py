@@ -89,6 +89,11 @@ def test_radical_scalar_inverse():
     x = RadicalScalar(3, 4, [2, 1, 0, Fraction(-1, 7)])
     one = x * x.inverse()
     assert one.as_rational() == 1
+    # four terms at M = 66 (Euclid): primitive remainders keep this fast
+    cs = [0] * 66
+    cs[0], cs[17], cs[40], cs[65] = Fraction(59, 37), Fraction(-43, 29), Fraction(31, 40), Fraction(-53, 11)
+    x = RadicalScalar(5, 66, cs)
+    assert x * x.inverse() == 1
     # p = 4 is not prime: w^2 - 4 = (w - 2)(w + 2) and w^4 - 4 = (w^2 - 2)(w^2 + 2),
     # so 2 - w, 2 + w (closed form) and (w^2 - 2)(1 + w) (Euclid) have no inverse
     for cs in ([2, -1], [2, 1], [-2, -2, 1, 1]):

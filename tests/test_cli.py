@@ -1,6 +1,9 @@
 """Command-line interface: dispatch, exit codes, JSON schemas."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +47,31 @@ def test_poincare_json_golden(capsys):
         "coefficients": ["1/1", "5/9", "7/27", "1/9"],
         "counts": [1, 5, 21, 81],
     }
+
+
+@pytest.mark.parametrize("f, p, k, data", [
+    ("x*y+z^2", 2, 6, {"p": 2, "n": 3,
+                       "coefficients": ["1/1", "1/2", "5/16", "5/32", "11/128", "11/256", "23/1024"],
+                       "counts": [1, 4, 20, 80, 352, 1408, 5888]}),
+    ("x*y+z^2", 3, 6, {"p": 3, "n": 3,
+                       "coefficients": ["1/1", "1/3", "11/81", "11/243", "35/2187", "35/6561",
+                                        "107/59049"],
+                       "counts": [1, 9, 99, 891, 8505, 76545, 702027]}),
+    ("x^2+y^2", 3, 2, {"p": 3, "n": 2, "coefficients": ["1/1", "1/9", "1/9"], "counts": [1, 1, 9]}),
+])
+def test_poincare_json_bytes(capsys, f, p, k, data):
+    # the coefficients are read from the integer counts: M_i p^(-n i) in lowest terms
+    code, out = _run(capsys, "--json", "poincare", "-f", f, "--p", str(p), "-k", str(k))
+    assert code == 0
+    assert out == json.dumps(data, indent=2) + "\n"
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported only by the counting functions that build arrays
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import igusa.cli, sys; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_zeta_family_json_golden(capsys):
