@@ -11,8 +11,21 @@ measures `one_var_integral(p, j, N, nu)`, each kind being its key
 a unit class, (1, A, a) the class at 0, (1, 1, 1) a smooth lift.  Any
 other class is a subproblem, reached by one affine substitution
 (`MultiPoly.subs`) or, at the origin, by the blowup charts.  Equal
-subproblems run once, scaled by their count.  This is the only class
-descent: `charts.integrate_univariate` runs it on f free of y.
+subproblems run once, scaled by their count.  `charts.integrate_univariate`
+runs the same descent on f free of y.
+
+A call whose class scan finds a subproblem first tries the Newton closure
+(`_newton_closure`), which closes the whole call in one step when f is
+non-degenerate mod p with respect to its Newton polygon: no face
+polynomial (f, f(0, y), f(x, 0), each compact edge and each vertex) has a
+singular zero on (F_p^*)^2.  W is then a sum over the cones of the dual
+fan of the polygon, whose rays carry the numerical data (N, nu) of the
+edges (Denef-Hoornaert, J. Number Theory 89 (2001)), so y^2 - x^(2k+1)
+closes at the root.  A call that the scan closes by itself does not try
+it, since that would only add cost.  The closure declines a degenerate f,
+and an f with an edge whose (N, nu) has a common divisor: `reduced`
+cancels only whole binomials, so that binomial would stand in the JSON
+where the descent's smaller factors cancel.  Declined calls descend.
 
 A crossing class (c, 0) of a weighted y axis, where f = 0 and f_y != 0
 mod p and x runs over c + pZ_p unweighted, closes in one step.  For each
@@ -32,9 +45,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import product
+from math import gcd
 
 from .context import PadicContext, vp
 from .poly import MultiPoly, blowup_chart_a
+from .qpoly import QPoly
 from .zeta import ZetaRational, one_var_integral, zeta_sum
 
 MAX_DEPTH = 200
@@ -124,6 +140,8 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 gb, _ = blowup_chart_a(f, yn, xn)
                 subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0, None] += 1
                 subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0, None] += 1
+    if subproblems and (z := _newton_closure(f, p, A, a, B, b)) is not None:
+        return z.scale(scale).shift(tshift + w)
     terms = [(_measure(p, *kx) * _measure(p, *ky)).scale(n) for (kx, ky), n in factors.items()]
     # equal arguments from different kinds of class run once
     W = cache(lambda g, *args: _W(g, p, *args, depth + 1))
@@ -131,3 +149,97 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
         z = W(g, *args)
         terms.append((_crossing(p, *cross, z) if cross else z).scale(Fraction(n, p**k)))
     return zeta_sum(p, terms).scale(scale).shift(tshift + w)
+
+
+@cache
+def _torus_zeros(g: MultiPoly, p: int) -> int | None:
+    """The number of zeros of g (coefficients mod p) on (F_p^*)^2, or None
+    if g is zero mod p or one of them is singular."""
+    if len(g.terms) <= 1:
+        return 0 if g.terms else None
+    gx, gy = (g.derivative(name) for name in g.vars)
+    zeros = 0
+    for pt in product(range(1, p), repeat=2):
+        if g.eval_int(pt) % p == 0:
+            if gx.eval_int(pt) % p == 0 and gy.eval_int(pt) % p == 0:
+                return None
+            zeros += 1
+    return zeros
+
+
+def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> ZetaRational | None:
+    """W of a normalised f (content 1, no factor x or y) over Z_p^2 when f
+    is non-degenerate mod p with respect to its Newton polygon, else None.
+
+    Where (v(x), v(y)) = k, f = p^m(k) (f_tau(u) + p (...)) with u units,
+    m(k) the least k.e over the exponents e of f and tau the face where it
+    is reached.  If f_tau has no singular zero on (F_p^*)^2, the units add
+    J_tau = ((p-1)^2 - N_tau) UNIT^2 + N_tau UNIT LIFT, N_tau its zeros
+    there (Denef-Hoornaert, Thm 4.2).  The k of one cone of the dual fan
+    share tau, and m is linear on the cone, so the sum of their
+    p^(-nu(k)) t^N(k), (N, nu)(k) = (A k1 + B k2 + m(k), a k1 + b k2), is
+    that of the points q of the cone's fundamental parallelepiped over
+    prod (1 - p^(-nu(g)) t^N(g)) over its generators g.  An edge whose
+    (N, nu) has a common divisor declines: `ZetaRational.reduced` cancels
+    only whole binomials, and the descent reaches that edge through the
+    factors of a smaller one."""
+    low: dict[int, int] = {}
+    for i, j in f.terms:
+        low[i] = min(j, low.get(i, j))
+    hull: list[tuple[int, int]] = []  # lower vertices, from (0, j0) to (i0, 0)
+    for v in sorted(low.items()):
+        while len(hull) > 1:
+            (i0, j0), (i1, j1) = hull[-2:]
+            if (i1 - i0) * (v[1] - j0) > (j1 - j0) * (v[0] - i0):
+                break
+            hull.pop()
+        hull.append(v)
+        if not v[1]:
+            break
+    # a vertex divisible by p makes each torus point a singular zero of its
+    # face: the usual way to decline, so it is tested first
+    if any(f.terms[v] % p == 0 for v in hull):
+        return None
+    edges = [(j0 - j1, i1 - i0) for (i0, j0), (i1, j1) in zip(hull, hull[1:])]
+    rays = [(1, 0), *((u // gcd(u, v), v // gcd(u, v)) for u, v in edges), (0, 1)]
+
+    def dot(q, e):
+        return q[0] * e[0] + q[1] * e[1]
+
+    def data(q):
+        return dot((A, B), q) + min(dot(q, e) for e in f.terms), dot((a, b), q)
+
+    if any(gcd(*data(r)) > 1 for r in rays[1:-1]):
+        return None
+    # the cones: between adjacent rays the 2-cone of a vertex, each ray,
+    # and {0}, whose face is f itself
+    cones = []
+    for gens in [*zip(rays, rays[1:]), *((r,) for r in rays), ()]:
+        u = tuple(map(sum, zip((0, 0), *gens)))  # a point inside the cone
+        m = min(dot(u, e) for e in f.terms)
+        n = _torus_zeros(MultiPoly(f.vars, {e: c % p for e, c in f.terms.items() if dot(u, e) == m}), p)
+        if n is None:
+            return None
+        cones.append((gens, u, n))
+    terms = []
+    for gens, u, n in cones:
+        points = [u]
+        if len(gens) == 2:  # u and the c r + c' s with 0 < c, c' < 1
+            r, s = gens
+            D = r[0] * s[1] - r[1] * s[0]
+            points = [q for q in product(range(u[0] + 1), range(u[1] + 1))
+                      if 0 < q[0] * s[1] - q[1] * s[0] <= D and 0 < r[0] * q[1] - r[1] * q[0] <= D]
+        num = QPoly()
+        for N, nu in map(data, points):
+            num += QPoly.monomial(Fraction(1, p**nu), N)
+        den: Counter = Counter()
+        for N, nu in map(data, gens):
+            if N:
+                den[N, nu] += 1
+            else:  # the constant 1 / (1 - p^-nu)
+                num = num.scale(Fraction(p**nu, p**nu - 1))
+        J = [ZetaRational.const(p, Fraction((p - 1) ** 2 - n, p * p))]
+        if n:
+            J.append((_measure(p, *UNIT) * _measure(p, *LIFT)).scale(n))
+        terms.append(zeta_sum(p, J) * ZetaRational(p, num, den))
+    return zeta_sum(p, terms)

@@ -90,11 +90,6 @@ class MultiPoly:
             out = out * self
         return out
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def multiplicity_at_origin(self) -> int:
         """Minimal total degree of a monomial; the zero polynomial has none."""
         if not self.terms:

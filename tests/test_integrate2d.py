@@ -4,8 +4,10 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igusa import charts, integrate2d
 from igusa.charts import integrate_univariate
@@ -13,9 +15,9 @@ from igusa.context import PadicContext
 from igusa.counting import verify_zeta_against_counts
 from igusa.families import zeta_sum_squares
 from igusa.integrate2d import zeta_two_var
-from igusa.poly import parse_poly
+from igusa.poly import MultiPoly, parse_poly
 from igusa.resolve import resolve_germ
-from igusa.zeta import eval_at_one, laurent_at, series_coeffs
+from igusa.zeta import ZetaRational, eval_at_one, laurent_at, series_coeffs
 
 CORPUS = [
     "y^2-x^3",
@@ -123,10 +125,12 @@ def _descent_calls(monkeypatch, compute):
     "compute",
     [
         lambda: zeta_two_var(parse_poly("y^2-x^5", vars=("x", "y")), PadicContext(3, 2)),
+        # the Newton closure declines this f, so its descent runs
+        lambda: zeta_two_var(parse_poly("(y-x^2)^2-x^7", vars=("x", "y")), PadicContext(3, 2)),
         lambda: integrate_univariate(parse_poly("v^2+3", ("v",)), 0, PadicContext(3, 1)),
         lambda: integrate_univariate(parse_poly("v^2+v+1", ("v",)), 0, PadicContext(3, 1)),
     ],
-    ids=["y^2-x^5", "v^2+3", "v^2+v+1"],
+    ids=["y^2-x^5", "(y-x^2)^2-x^7", "v^2+3", "v^2+v+1"],
 )
 def test_descent_integrates_each_subproblem_once_per_parent(monkeypatch, compute):
     # equal sibling subproblems are integrated once and scaled by their count
@@ -188,17 +192,103 @@ def test_crossings_of_both_axes_share_one_call(monkeypatch):
 
 def test_crossings_bound_the_descent(monkeypatch):
     # y^2-x^5 at p = 3 in (x, y) order took 170 calls while each crossing
-    # of a weighted axis descended digit by digit
+    # of a weighted axis descended digit by digit; the Newton closure now
+    # closes it at the root.  The closure declines (y-x^2)^2-x^7, whose
+    # descent still crosses weighted axes: 1,684 calls when it was added
     orig = integrate2d._W
-    calls = itertools.count()
+    calls = []
 
     def counted(*args):
-        next(calls)
+        calls.append(None)
         return orig(*args)
 
     monkeypatch.setattr(integrate2d, "_W", counted)
-    zeta_two_var(parse_poly("y^2-x^5", vars=("x", "y")), PadicContext(3, 2))
-    assert next(calls) <= 80
+    for text, bound in [("y^2-x^5", 80), ("(y-x^2)^2-x^7", 1684)]:
+        calls.clear()
+        zeta_two_var(parse_poly(text, vars=("x", "y")), PadicContext(3, 2))
+        assert len(calls) <= bound, text
+
+
+def _zeta_json(f, p):
+    """The JSON text of Z_f at p, or None where the descent exceeds its depth."""
+    try:
+        return json.dumps(zeta_two_var(f, PadicContext(p, 2)).to_json())
+    except ArithmeticError:
+        return None
+
+
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    min_size=2,
+    max_size=4,
+).map(lambda terms: MultiPoly(("x", "y"), terms))
+
+
+@settings(max_examples=120)
+@given(_POLYS, st.sampled_from([2, 3, 5]))
+def test_newton_closure_keeps_json(f, p):
+    # the closure replaces whole subtrees of the descent, so Z's JSON must
+    # not depend on whether it closes or declines a class
+    closed = _zeta_json(f, p)
+    with mock.patch.object(integrate2d, "_newton_closure", lambda *args: None):
+        descended = _zeta_json(f, p)
+    if descended is not None:
+        assert closed == descended
+    if closed is not None:
+        z = ZetaRational.from_json(json.loads(closed))
+        ok, predicted, actual = verify_zeta_against_counts(z, f, 3)
+        assert ok, (predicted, actual)
+
+
+# before the closure these took 104 to 21,533 `_W` calls, or did not
+# finish in 20 s, depending on the order; it closes each at the root
+HARD_ROWS = [("y^2-x^9", 3, 3), ("y^2-x^13", 3, 3), ("y^2-x^21", 3, 3), ("y^2-x^3", 101, 2)]
+
+
+@pytest.mark.parametrize("text, p, k", HARD_ROWS, ids=[f"{t}-{p}" for t, p, _ in HARD_ROWS])
+def test_newton_closure_hard_rows(monkeypatch, text, p, k):
+    orig = integrate2d._W
+    calls = itertools.count(1)
+
+    def counted(*args):
+        if next(calls) > 20:
+            raise RuntimeError("more than 20 _W calls")
+        return orig(*args)
+
+    monkeypatch.setattr(integrate2d, "_W", counted)
+    ctx = PadicContext(p, 2)
+    xy = zeta_two_var(parse_poly(text, vars=("x", "y")), ctx)
+    yx = zeta_two_var(parse_poly(text, vars=("y", "x")), ctx)
+    assert json.dumps(xy.to_json()) == json.dumps(yx.to_json())
+    assert eval_at_one(xy) == 1
+    ok, predicted, actual = verify_zeta_against_counts(xy, parse_poly(text, vars=("x", "y")), k)
+    assert ok, (predicted, actual)
+
+
+# digests recorded before the closure was added.  Both edge rays of
+# x^3+y^3-x*y have (N, nu) = (3, 3): the binomial 1 - p^-3 t^3 would stand
+# where the descent's factors cancel, and the JSON would move.  The class
+# scan of x*y+3*y^2 closes every class, so the closure is not asked
+DECLINED = [
+    ("x^3+y^3-x*y", 2, "0573b6342c49c2fc04046a79ce6667a6c5553b70af7e03a78645819b478abf5a"),
+    ("x*y+3*y^2", 5, "f6ef9b82557d7acfaff15965f35ea47ca8e95087d71cba4f8118787677bd871a"),
+]
+
+
+@pytest.mark.parametrize("text, p, digest", DECLINED, ids=[t for t, _, _ in DECLINED])
+def test_newton_closure_declines_an_edge_with_common_divisor(monkeypatch, text, p, digest):
+    orig = integrate2d._newton_closure
+    results = []
+
+    def recorded(*args):
+        results.append(orig(*args))
+        return results[-1]
+
+    monkeypatch.setattr(integrate2d, "_newton_closure", recorded)
+    z = zeta_two_var(parse_poly(text, vars=("x", "y")), PadicContext(p, 2))
+    assert not results or results[0] is None  # the root call, if asked, declines
+    assert _digest(z.to_json()) == digest
 
 
 @pytest.mark.parametrize("text", CORPUS)

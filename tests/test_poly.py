@@ -114,7 +114,7 @@ def test_blowup_chart_a_translated_center():
 def test_arithmetic_and_derivative():
     f = parse_poly("x^2+y^2")
     g = parse_poly("x*y", vars=("x", "y"))
-    assert (f * g).total_degree() == 4
+    assert max(sum(e) for e in (f * g).terms) == 4
     assert f.derivative("x").terms == {(1, 0): Fraction(2)}
     assert (f - f).is_zero()
 
