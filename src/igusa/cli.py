@@ -5,10 +5,10 @@ counts M_0..M_k from one level-by-level Hensel pass; `count --mode naive`
 enumerates every point mod p^i.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error (bad
-arguments, a level below 0, a malformed zeta or chart file, such as a
-zeta file with p not prime or a factor with N < 1 or nu < 1), 3
-unsupported input (e.g. a non-rational blowup center), 4 internal error
-(an ArithmeticError such as an exceeded recursion depth).
+arguments, a level below 0, a malformed zeta or chart file, such as a zeta
+file with p not prime or a factor with N < 1 or nu < 1), 3 unsupported
+input (a non-squarefree `resolve` germ, a non-rational blowup center), 4
+internal error (an ArithmeticError such as an exceeded recursion depth).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .divisibility import (
 from .families import zeta_xy_zi
 from .integrate2d import zeta_two_var
 from .poly import parse_poly
-from .resolve import NonRationalCenterError, resolve_germ
+from .resolve import UnsupportedGermError, resolve_germ
 from .zeta import ZetaRational, laurent_at
 
 
@@ -283,7 +283,7 @@ def run(argv) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except NonRationalCenterError as e:
+    except UnsupportedGermError as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:

@@ -1,13 +1,17 @@
 """Sparse multivariate polynomials over Z, with a small expression parser.
 
 Terms are stored as {exponent tuple: int coefficient}; the constructor is
-the one place that rejects a non-integral coefficient.
+the one place that rejects a non-integral coefficient.  Tangent cones and
+the squarefree test run on integers (Yun, rational roots); sympy factors
+only a cone with a part of degree >= 4 or an end coefficient > 10^5 left.
 """
 
 from __future__ import annotations
 
 import re
-from math import comb
+from functools import reduce
+from itertools import count, islice, zip_longest
+from math import comb, gcd
 
 
 class MultiPoly:
@@ -308,7 +312,79 @@ def format_poly(f: MultiPoly) -> str:
     return out
 
 
-# -- tangent cone factorization (two variables) -------------------------------
+# -- tangent cones and the squarefree test, on integer lists c_0, c_1, ... ----
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """Nonzero a over its content, with a positive leading coefficient."""
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a]
+
+
+def _trim(a: list[int]) -> list[int]:
+    return a[: max((i + 1 for i, c in enumerate(a) if c), default=0)]
+
+
+def _deriv(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _quo(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b if it lies in Z[x], else None; for a primitive b, iff b | a over Q."""
+    a, n, q = list(a), len(b) - 1, [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k], r = divmod(a[k + n], b[-1])
+        if r:
+            return None
+        for i, c in enumerate(b, k):
+            a[i] -= q[k] * c
+    return None if any(a) else q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Q of a and b, not both zero (primitive PRS)."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            top, r = r[-1], [b[-1] * c for c in r]
+            for i, c in enumerate(b, len(r) - len(b)):
+                r[i] -= top * c
+            r = _trim(r)
+        a, b = b, r and _primitive(r)
+    return _primitive(a)
+
+
+def _yun(a: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition of a nonzero a: the (a_i, i) with
+    a = c * prod a_i^i, each a_i primitive, squarefree and nonconstant."""
+    b = _gcd(a, _deriv(a))
+    c, d, out, i = _quo(a, b), _quo(_deriv(a), b), [], 1
+    while len(c) > 1:
+        d = _trim([u - v for u, v in zip_longest(d, _deriv(c), fillvalue=0)])
+        g = _gcd(c, d)
+        if len(g) > 1:
+            out.append((g, i))
+        c, d, i = _quo(c, g), _quo(d, g), i + 1
+    return out
+
+
+def _factor_over_q(a: list[int]) -> list[tuple[list[int], int]] | None:
+    """Irreducible factors over Q, with multiplicities, of a primitive a
+    with a(0) != 0: a root u/v, u | a(0), v | lc(a), is v*tau - u, and the
+    rest is split by Yun, its parts of degree 2 or 3 being irreducible.
+    None if a part of degree >= 4 is left or a(0) or lc(a) exceeds 10^5."""
+    if max(abs(a[0]), a[-1]) > 10**5:
+        return None
+    us, vs = ([k for k in range(1, n + 1) if n % k == 0] for n in (abs(a[0]), a[-1]))
+    out = []
+    for u, v in [(s * u, v) for v in vs for u in us if gcd(u, v) == 1 for s in (1, -1)]:
+        m = 0
+        while len(a) > 1 and (q := _quo(a, [-u, v])) is not None:
+            a, m = q, m + 1
+        if m:
+            out.append(([-u, v], m))
+    parts = _yun(a)
+    return None if any(len(g) > 4 for g, _ in parts) else out + parts
 
 
 def tangent_cone_factors(f: MultiPoly, xname: str, yname: str):
@@ -317,30 +393,46 @@ def tangent_cone_factors(f: MultiPoly, xname: str, yname: str):
     Returns (xmult, ymult, factors) where xmult and ymult are the powers of
     the coordinate axes dividing the cone and factors is a list of
     (univariate coefficient list in tau = y/x, multiplicity) for the
-    remaining irreducible factors, each with integer coprime coefficients.
-    A linear factor c1*tau + c0 gives the rational direction -c0/c1.
+    remaining irreducible factors, each with integer coprime coefficients
+    and a positive leading one, ordered as sympy orders them (by length,
+    multiplicity, coefficients from the highest degree); sympy factors
+    only a cone that `_factor_over_q` declines.  A linear factor
+    c1*tau + c0 gives the rational direction -c0/c1.
     """
-    import sympy
-
     cone = f.lowest_form()
-    xi = f.vars.index(xname)
-    yi = f.vars.index(yname)
-    xmult = min(e[xi] for e in cone.terms)
-    ymult = min(e[yi] for e in cone.terms)
+    xi, yi = f.vars.index(xname), f.vars.index(yname)
+    xmult, ymult = (min(e[i] for e in cone.terms) for i in (xi, yi))
     # dehomogenize: divide by x^a y^b, substitute x = 1, keep tau = y
-    cone_tau = sympy.Poly.from_dict({(e[yi] - ymult,): c for e, c in cone.terms.items()}, sympy.Symbol("tau"))
-    _, flist = sympy.factor_list(cone_tau)
-    factors = [([int(c) for c in reversed(fac.all_coeffs())], int(mult)) for fac, mult in flist]
-    return xmult, ymult, factors
+    taus = {e[yi] - ymult: c for e, c in cone.terms.items()}
+    cs = [taus.get(k, 0) for k in range(max(taus) + 1)]
+    factors = _factor_over_q(_primitive(cs))
+    if factors is None:
+        import sympy
+        _, flist = sympy.factor_list(sympy.Poly(cs[::-1], sympy.Symbol("tau")))
+        factors = [([int(c) for c in reversed(fac.all_coeffs())], int(m)) for fac, m in flist]
+    return xmult, ymult, sorted(factors, key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
 
 
 def is_squarefree(f: MultiPoly) -> bool:
-    """True when no nonconstant factor of f over Q has multiplicity > 1."""
-    import sympy
+    """True when no nonconstant factor of f over Q has multiplicity > 1.
 
-    gens = sympy.symbols(list(f.vars))
-    _, factors = sympy.Poly.from_dict(f.terms, *gens).sqf_list()
-    return all(k == 1 for _, k in factors)
+    Takes at most two variables.  As a polynomial in y, f = c(x) g(x, y),
+    c the gcd of its coefficients; f is squarefree iff c is and
+    Res_y(g, g_y), of x-degree <= (2d - 1) deg_x f, d = deg_y f, is not 0.
+    Where f keeps its y-degree, c(x0) != 0 and a squarefree f(x0, y) proves
+    it nonzero; that many failures plus one prove it zero.
+    """
+    if f.nvars > 2:
+        raise ValueError("squarefree test takes at most two variables")
+    if not f.terms:
+        return True
+    terms = {(0,) * (2 - f.nvars) + e: c for e, c in f.terms.items()}
+    dx, dy = map(max, zip(*terms))
+    rows = [_trim([terms.get((i, k), 0) for i in range(dx + 1)]) for k in range(dy + 1)]
+    content = reduce(_gcd, filter(None, rows), [])
+    points = ([reduce(lambda v, c: v * x0 + c, reversed(r), 0) for r in rows] for x0 in count())
+    tries = islice((h for h in points if h[-1]), max(2 * dy - 1, 0) * dx + 1)
+    return _gcd(content, _deriv(content)) == [1] and any(_gcd(h, _deriv(h)) == [1] for h in tries)
 
 
 def blowup_chart_a(f: MultiPoly, xname: str, yname: str, tau0: int = 0) -> tuple["MultiPoly", int]:

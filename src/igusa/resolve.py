@@ -75,7 +75,11 @@ class ResolutionTree:
         return "\n".join(lines)
 
 
-class NonRationalCenterError(ValueError):
+class UnsupportedGermError(ValueError):
+    """A germ outside the supported class; the CLI exits 3."""
+
+
+class NonRationalCenterError(UnsupportedGermError):
     pass
 
 
@@ -87,7 +91,7 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
     if (0, 0) in f.terms:
         raise ValueError("f(0,0) must be 0")
     if not is_squarefree(f):
-        raise ValueError("non-squarefree input: pass the reduced part and record multiplicities")
+        raise UnsupportedGermError("non-squarefree input: pass the reduced part and record multiplicities")
     xn, yn = f.vars
     tree = ResolutionTree()
     step = 0

@@ -126,12 +126,16 @@ class ZetaRational:
             acc[s0] = acc.get(s0, 0) + m
         return sorted(acc.items())
 
+    def multiplicity(self, s0: Fraction) -> int:
+        """Count of the denominator factors with -nu/N = s0 = -a/q."""
+        return sum(m for (N, nu), m in self.denominator.items() if nu * s0.denominator == -s0.numerator * N)
+
     def is_real_pole(self, s0: Fraction) -> bool:
         """Whether s0 is a pole: the denominator vanishes at t0 = p^(-s0) to
         the order m of s0 among the candidates, reduced or not, so the pole
         order is m less the numerator's order, and s0 is a pole iff one of
         the numerator's U^0, ..., U^(m-1) coefficients is nonzero."""
-        m = dict(self.candidate_poles()).get(s0, 0)
+        m = self.multiplicity(s0)
         return any(not c.is_zero() for c in u_expansion(self.numerator, self.p, s0, m - 1))
 
     def to_json(self) -> dict:
@@ -379,7 +383,7 @@ def laurent_at(z: ZetaRational, s0: Fraction, extra: int = 2) -> LaurentExpansio
     """Laurent expansion of z at s = s0, via t = p^(-s0) exp(-U) with
     U = (s - s0) log p.  Exact over Q(p^(1/M))."""
     p = z.p
-    m = dict(z.candidate_poles()).get(s0, 0)
+    m = z.multiplicity(s0)
     K = m + extra
     # D(t0 e^(-U)) vanishes to order exactly m: each factor with
     # -nu/N = s0 is 1 - e^(-NU), and no other factor vanishes at t0

@@ -420,6 +420,15 @@ def test_reduced_json_ignores_summation_order(case, rnd):
 
 
 @settings(max_examples=200)
+@given(_zeta_terms(), st.builds(Fraction, st.integers(-9, 0), st.integers(1, 6)))
+def test_multiplicity_counts_candidate_poles(case, s0):
+    # the integer count of factors with -nu/N = s0 against candidate_poles
+    z = zeta_sum(*case)
+    for s in [s0] + [s for s, _ in z.candidate_poles()]:
+        assert z.multiplicity(s) == dict(z.candidate_poles()).get(s, 0)
+
+
+@settings(max_examples=200)
 @given(_zeta_terms(), st.integers(1, 4), st.integers(0, 3))
 def test_substitute_moves_each_series_term(case, N0, nu0):
     # Z(p^(-nu0) t^N0): the coefficient of t^i moves to t^(N0 i) times

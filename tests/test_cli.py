@@ -146,6 +146,12 @@ def test_resolve_non_rational_exit_code(capsys):
     assert code == 3
 
 
+def test_resolve_non_squarefree_exit_code(capsys):
+    # a non-squarefree germ is unsupported input, not a usage error
+    assert run(["resolve", "-f", "(x+y)^2*(x-y)"]) == 3
+    assert "unsupported: non-squarefree input" in capsys.readouterr().err
+
+
 def test_divisibility(capsys):
     code, out = _run(
         capsys, "divisibility", "-f", "x*y+z^2", "--p", "2", "-k", "6", "--l=-3/2"

@@ -1,10 +1,14 @@
 """Sparse polynomial parsing, tangent cones, blowup substitutions."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from igusa import resolve
 from igusa.poly import (
     MultiPoly,
     blowup_chart_a,
@@ -136,6 +140,11 @@ def test_is_squarefree(text, expected):
     assert is_squarefree(parse_poly(text)) is expected
 
 
+def test_squarefree_test_takes_at_most_two_variables():
+    with pytest.raises(ValueError):
+        is_squarefree(parse_poly("x*y+z^2"))
+
+
 def test_eval_int():
     f = parse_poly("x*y+z^2")
     assert f.eval_int((2, 3, 1)) == 7
@@ -178,3 +187,105 @@ def test_affine_substitution_and_charts(terms, c, s, tau0, int_point, point):
     gb, mu_b = blowup_chart_a(f, "y", "x")
     assert mu_b == mu
     assert v**mu * _value(gb, point) == _value(f, (u * v, v))
+
+
+# -- the integer squarefree test and cone factors against sympy ---------------
+
+
+def _ref_tangent_cone_factors(f, xname, yname):
+    """sympy's factorization of the dehomogenised tangent cone, the
+    reference for `tangent_cone_factors`."""
+    cone = f.lowest_form()
+    xi = f.vars.index(xname)
+    yi = f.vars.index(yname)
+    xmult = min(e[xi] for e in cone.terms)
+    ymult = min(e[yi] for e in cone.terms)
+    cone_tau = sympy.Poly.from_dict({(e[yi] - ymult,): c for e, c in cone.terms.items()}, sympy.Symbol("tau"))
+    _, flist = sympy.factor_list(cone_tau)
+    factors = [([int(c) for c in reversed(fac.all_coeffs())], int(mult)) for fac, mult in flist]
+    return xmult, ymult, factors
+
+
+def _ref_is_squarefree(f):
+    """sympy's square-free decomposition, the reference for `is_squarefree`."""
+    gens = sympy.symbols(list(f.vars))
+    _, factors = sympy.Poly.from_dict(f.terms, *gens).sqf_list()
+    return all(k == 1 for _, k in factors)
+
+
+_small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    min_size=1, max_size=4,
+)
+_factor_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    min_size=2, max_size=3,
+)
+_bivariate = st.one_of(
+    st.builds(lambda t: MultiPoly(("x", "y"), t), _small_terms),
+    st.builds(lambda g, h: MultiPoly(("x", "y"), g) ** 2 * MultiPoly(("x", "y"), h),
+              _factor_terms, _factor_terms),
+)
+
+
+@settings(max_examples=400)
+@given(_bivariate)
+def test_squarefree_and_cone_factors_match_sympy(f):
+    assert is_squarefree(f) is _ref_is_squarefree(f)
+    for names in (("x", "y"), ("y", "x")):
+        assert tangent_cone_factors(f, *names) == _ref_tangent_cone_factors(f, *names)
+
+
+@pytest.mark.parametrize("text, fallback", [
+    ("y^2-x^3", False),
+    ("x*y*(x+y)+x^4", False),
+    ("(2*y-x)^2*(3*y+x)^3*(y^2+x^2)+y^9", False),
+    ("(y^2-2*x^2)^2+x^5", False),  # Yun part (tau^2 - 2, 2)
+    ("(y^2+x^2)^2*(y^2+3*x^2)+x^7", False),  # Yun parts of degree 2
+    ("(y^2+x^2)*(y^2+2*x^2)+x^5", True),  # a squarefree quartic is left
+    ("100003*y^2-x^2+x^3", True),  # lc beyond trial division
+    ("12345678901234567891*y^3-2*x^3+x^4", True),  # a 20-digit coefficient
+])
+def test_cone_fallback_only_where_needed(text, fallback, monkeypatch):
+    calls = []
+    factor_list = sympy.factor_list
+    monkeypatch.setattr(sympy, "factor_list", lambda *a: calls.append(a) or factor_list(*a))
+    f = parse_poly(text, vars=("x", "y"))
+    start = time.perf_counter()
+    got = tangent_cone_factors(f, "x", "y")
+    assert time.perf_counter() - start < 1
+    assert len(calls) == fallback
+    monkeypatch.undo()
+    assert got == _ref_tangent_cone_factors(f, "x", "y")
+
+
+def _random_germs(rng, count):
+    """Squarefree f singular at the origin: 2-4 terms, exponents <= 4,
+    coefficients +-1..3."""
+    exps = [(i, j) for i in range(5) for j in range(5) if i + j >= 2]
+    out = []
+    while len(out) < count:
+        terms = {e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in rng.sample(exps, rng.randint(2, 4))}
+        f = MultiPoly(("x", "y"), terms)
+        if _ref_is_squarefree(f):
+            out.append(f)
+    return out
+
+
+def _outcome(f):
+    try:
+        return resolve.resolve_germ(f)
+    except (ValueError, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+def test_resolve_matches_sympy_helpers(monkeypatch):
+    from test_acceptance import CORPUS_2VAR
+
+    germs = [parse_poly(t, vars=("x", "y")) for t in CORPUS_2VAR] + _random_germs(random.Random(18), 500)
+    got = [_outcome(f) for f in germs]
+    monkeypatch.setattr(resolve, "is_squarefree", _ref_is_squarefree)
+    monkeypatch.setattr(resolve, "tangent_cone_factors", _ref_tangent_cone_factors)
+    assert [_outcome(f) for f in germs] == got
