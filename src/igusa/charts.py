@@ -67,7 +67,6 @@ class CharacterSpec:
 @dataclass
 class CandidatePole:
     real_part: Fraction
-    N: int
     expected_order: int = 1
     sources: list = field(default_factory=list)
 
@@ -111,7 +110,10 @@ def integrate_univariate(h: MultiPoly, box_j: int, ctx: PadicContext) -> ZetaRat
         raise ValueError("h must be nonzero")
     if not is_squarefree(h):
         raise ValueError("h must be squarefree")
-    f = MultiPoly(("u", "w"), {(k, 0): c for k, c in enumerate(h.univariate_coeffs())})
+    if len({i for e in h.terms for i, k in enumerate(e) if k}) > 1:
+        raise ValueError("not univariate")
+    # the one variable's exponent is the total degree of each term
+    f = MultiPoly(("u", "w"), {(sum(e), 0): c for e, c in h.terms.items()})
     return _W(f, ctx.p, 0, 1, 0, 1, box_j, 0, 0).reduced()
 
 
@@ -127,7 +129,6 @@ def candidate_poles_filtered(
         rp = Fraction(-nu, N)
         if rp in seen:
             seen[rp].sources.append(idx)
-            seen[rp].N = min(seen[rp].N, N)
         else:
-            seen[rp] = CandidatePole(real_part=rp, N=N, sources=[idx])
+            seen[rp] = CandidatePole(real_part=rp, sources=[idx])
     return [seen[k] for k in sorted(seen)]

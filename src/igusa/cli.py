@@ -108,12 +108,10 @@ def cmd_zeta(args) -> int:
         z = zeta_from_charts(cells, ctx)
     elif args.family == "sum-squares":
         z = zeta_two_var(parse_poly("x^2+y^2"), PadicContext(p, 2))
-    elif args.family == "xyzi":
+    else:  # xyzi: argparse's choices admit no other family
         if args.i is None:
             raise UsageError("xyzi needs --i")
         z = zeta_xy_zi(PadicContext(p, 3), args.i)
-    else:
-        raise UsageError(f"unknown family {args.family!r}")
     _emit(args, z.to_json(), lambda: f"Z(t) = {z!r}")
     return 0
 

@@ -14,9 +14,8 @@ from .zeta import ZetaRational, laurent_at
 
 
 class PoleSet:
-    def __init__(self, real_parts=(), provenance=None) -> None:
+    def __init__(self, real_parts=()) -> None:
         self.real_parts = set(Fraction(r) for r in real_parts)
-        self.provenance = dict(provenance or {})
 
     def __eq__(self, other):
         return isinstance(other, PoleSet) and self.real_parts == other.real_parts
@@ -130,13 +129,7 @@ def zeta_xy_zi(ctx: PadicContext, i: int) -> ZetaRational:
 
 
 def combine_sum_poles(F: PoleSet, G: PoleSet) -> PoleSet:
-    out = PoleSet()
-    for s1 in F.real_parts:
-        for s2 in G.real_parts:
-            s = s1 + s2
-            out.real_parts.add(s)
-            out.provenance.setdefault(s, []).append((s1, s2))
-    return out
+    return PoleSet(s1 + s2 for s1 in F.real_parts for s2 in G.real_parts)
 
 
 def theorem_membership(s0: Fraction, n: int) -> bool:

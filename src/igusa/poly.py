@@ -89,9 +89,14 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
-        out = MultiPoly.const(self.vars, 1)
-        for _ in range(k):
-            out = out * self
+        """Repeated squaring: about 2 log2(k) products."""
+        out, base = MultiPoly.const(self.vars, 1), self
+        while k > 0:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def multiplicity_at_origin(self) -> int:
@@ -147,18 +152,6 @@ class MultiPoly:
                     v *= x**k
             total += v
         return total
-
-    def univariate_coeffs(self) -> list[int]:
-        """Coefficients [c_0, c_1, ...] when only one variable occurs."""
-        used = [i for i in range(self.nvars) if any(e[i] for e in self.terms)]
-        if len(used) > 1:
-            raise ValueError("not univariate")
-        i = used[0] if used else 0
-        d = max((e[i] for e in self.terms), default=0)
-        out = [0] * (d + 1)
-        for e, c in self.terms.items():
-            out[e[i]] = c
-        return out
 
     def __repr__(self) -> str:
         return format_poly(self)
@@ -241,8 +234,8 @@ class _Parser:
             if self.take() != ")":
                 raise ValueError("unbalanced parenthesis")
             return node
-        if t == "-":
-            return -self.atom()
+        if t == "-":  # looser than ^: x*-y^2 is x*(-(y^2))
+            return -self.power()
         if t is None:
             raise ValueError("unexpected end of expression")
         if t.isdigit():
@@ -267,7 +260,10 @@ def parse_poly(text: str, vars: tuple[str, ...] | None = None) -> MultiPoly:
     """Parse an integer polynomial expression.
 
     Grammar: integers, variables, +, -, *, ^ (or **), parentheses;
-    ^ binds tighter than *, which binds tighter than + and -.
+    ^ binds tighter than *, which binds tighter than + and -.  A unary
+    minus, anywhere, binds more loosely than ^: -x^2, 2*-x^2 and x--y^2
+    negate the power.  Raises ValueError on a malformed or too deeply
+    nested expression.
     """
     if vars is None:
         vars = poly_variables(text)
@@ -277,7 +273,10 @@ def parse_poly(text: str, vars: tuple[str, ...] | None = None) -> MultiPoly:
     if not toks:
         raise ValueError("empty expression")
     parser = _Parser(toks, tuple(vars))
-    out = parser.expr()
+    try:
+        out = parser.expr()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     if parser.i != len(toks):
         raise ValueError(f"trailing tokens near {toks[parser.i]!r}")
     return out

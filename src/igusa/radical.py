@@ -110,11 +110,11 @@ class RadicalScalar:
                 k = Fraction(r.den, gcd(*r.nums) or 1)
                 r0, r1 = r1, r.scale(k)
                 s0, s1 = s1, (s0 - q * s1).scale(k)
-            # r0 is a nonzero constant gcd (the modulus is irreducible)
+            # r0 is a nonzero constant gcd (the modulus is irreducible); s0 has
+            # degree M - deg(the remainder before r0) < M, so it is reduced
             if r0.degree != 0:
                 raise ArithmeticError("modulus not coprime to element")
-            _, rem = s0.scale(Fraction(r0.den, r0.nums[0])).divmod(mod)
-            return RadicalScalar(p, M, rem)
+            return RadicalScalar(p, M, s0.scale(Fraction(r0.den, r0.nums[0])))
         r, B = (rest[0] - k, -nums[-1]) if rest else (0, 0)
         A, n = nums[k], M // gcd(r, M)
         vec, c = [0] * M, self.poly.den * A ** (n - 1)

@@ -33,8 +33,6 @@ class ExceptionalCurve:
 @dataclass
 class StrictComponent:
     attached_to: int  # curve id, or -1 for a free smooth branch
-    N: int = 1
-    nu: int = 1
     degree: int = 1
 
 
@@ -83,7 +81,10 @@ class NonRationalCenterError(UnsupportedGermError):
     pass
 
 
-def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
+MAX_STEPS = 64
+
+
+def resolve_germ(f: MultiPoly) -> ResolutionTree:
     if f.nvars != 2:
         raise ValueError("two variables required")
     if f.is_zero():
@@ -116,17 +117,12 @@ def resolve_germ(f: MultiPoly, max_steps: int = 64) -> ResolutionTree:
                     continue
             # tangent to the single axis, or passing through a crossing point
         elif mu == 2 and not axes:
-            directions = (1 if xmult else 0) + (1 if ymult else 0) + sum(
-                1 for cs, m in factors if len(cs) == 2
-            )
-            rational = all(len(cs) == 2 for cs, m in factors) and all(
-                m == 1 for _, m in factors
-            ) and xmult <= 1 and ymult <= 1
-            if directions == 2 and rational:
-                # two smooth branches crossing transversally: already
-                # normal crossings, nothing to do (e.g. f = x*y)
+            # mu = xmult + ymult + sum m deg, so simple linear factors and
+            # xmult, ymult <= 1 are two smooth branches crossing transversally:
+            # already normal crossings, nothing to do (e.g. f = x*y)
+            if all(len(cs) == 2 and m == 1 for cs, m in factors) and xmult <= 1 and ymult <= 1:
                 continue
-        if step >= max_steps:
+        if step >= MAX_STEPS:
             raise ArithmeticError("max_steps exceeded")
         # blow up the origin of this site
         ax_list = list(axes.items())

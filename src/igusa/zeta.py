@@ -108,8 +108,6 @@ class ZetaRational:
         """Cancel each denominator factor as often as it divides the numerator,
         in one pass in descending (N, nu) order.  Dividing only removes roots,
         so a factor that does not divide now cannot divide later."""
-        if self.is_zero():
-            return ZetaRational.zero(self.p)
         cs, d = self.numerator.to_ints()
         den = Counter(self.denominator)
         for key in sorted(den, reverse=True):
@@ -120,11 +118,8 @@ class ZetaRational:
 
     def candidate_poles(self) -> list[tuple[Fraction, int]]:
         """Real candidate poles -nu/N with multiplicity from the factored form."""
-        acc: dict[Fraction, int] = {}
-        for (N, nu), m in self.denominator.items():
-            s0 = Fraction(-nu, N)
-            acc[s0] = acc.get(s0, 0) + m
-        return sorted(acc.items())
+        poles = sorted({Fraction(-nu, N) for N, nu in self.denominator})
+        return [(s0, self.multiplicity(s0)) for s0 in poles]
 
     def multiplicity(self, s0: Fraction) -> int:
         """Count of the denominator factors with -nu/N = s0 = -a/q."""
@@ -243,15 +238,9 @@ def one_var_integral(p: int, j: int, N: int, nu: int) -> ZetaRational:
 
 
 def eval_at_one(z: ZetaRational) -> Fraction:
-    """Z at t = 1 (s = 0)."""
-    num, d = z.numerator.to_ints()
-    den = Fraction(d)
-    for (N, nu), m in z.denominator.items():
-        fval = 1 - Fraction(1, z.p**nu)
-        if fval == 0:
-            raise ZeroDivisionError("denominator factor vanishes at t = 1")
-        den *= fval**m
-    return sum(num) / den
+    """Z at t = 1 (s = 0), N(1) / D(1); a factor with nu = 0 makes D(1) = 0."""
+    (num, d), (den, e) = z.numerator.to_ints(), z.denominator_poly().to_ints()
+    return Fraction(sum(num) * e, d * sum(den))
 
 
 # -- Poincare series ----------------------------------------------------------
@@ -363,11 +352,10 @@ class LaurentExpansion:
     coefficient of (s - s0)^(-k) stored as a ResidueValue (a multiple of
     (log p)^(-k))."""
 
-    __slots__ = ("p", "s0", "pole_order", "ucoeffs")
+    __slots__ = ("p", "pole_order", "ucoeffs")
 
-    def __init__(self, p: int, s0: Fraction, pole_order: int, ucoeffs) -> None:
+    def __init__(self, p: int, pole_order: int, ucoeffs) -> None:
         self.p = p
-        self.s0 = s0
         self.pole_order = pole_order
         self.ucoeffs = ucoeffs  # coefficient of U^(j - pole_order), j = 0, 1, ...
 
@@ -393,4 +381,4 @@ def laurent_at(z: ZetaRational, s0: Fraction, extra: int = 2) -> LaurentExpansio
     # unit / U^m; numerator vanishing lowers the actual pole order
     nv = next((i for i, c in enumerate(unit) if not c.is_zero()), K + 1)
     pole_order = max(m - nv, 0)
-    return LaurentExpansion(p, s0, pole_order, unit[m - pole_order:])
+    return LaurentExpansion(p, pole_order, unit[m - pole_order:])

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -290,6 +291,8 @@ def test_laurent_double_pole_product():
 
 def test_eval_at_one_single_factor():
     assert eval_at_one(one_var_integral(7, 0, 1, 1)) == 1
+    with pytest.raises(ZeroDivisionError):  # 1 - p^0 t vanishes at t = 1
+        eval_at_one(ZetaRational(7, QPoly.const(1), {(1, 0): 1}))
 
 
 def test_eval_at_one_constant():
@@ -375,6 +378,9 @@ def test_reduced_cancels_whole_factors():
     red = bloated.reduced()
     assert dict(red.denominator) == {(2, 2): 1}
     assert series_coeffs(red, 6) == series_coeffs(z, 6)
+    # a zero numerator cancels every factor
+    zero = ZetaRational(p, QPoly(), {(2, 2): 2, (1, 1): 1}).reduced()
+    assert zero.is_zero() and not zero.denominator
 
 
 def test_reduced_ignores_factor_insertion_order():
@@ -422,10 +428,15 @@ def test_reduced_json_ignores_summation_order(case, rnd):
 @settings(max_examples=200)
 @given(_zeta_terms(), st.builds(Fraction, st.integers(-9, 0), st.integers(1, 6)))
 def test_multiplicity_counts_candidate_poles(case, s0):
-    # the integer count of factors with -nu/N = s0 against candidate_poles
+    # the integer count of factors with -nu/N = s0, and candidate_poles
+    # built from it, against one Fraction per factor
     z = zeta_sum(*case)
-    for s in [s0] + [s for s, _ in z.candidate_poles()]:
-        assert z.multiplicity(s) == dict(z.candidate_poles()).get(s, 0)
+    ref = Counter()
+    for (N, nu), m in z.denominator.items():
+        ref[Fraction(-nu, N)] += m
+    assert z.candidate_poles() == sorted(ref.items())
+    for s in [s0, *ref]:
+        assert z.multiplicity(s) == ref[s]
 
 
 @settings(max_examples=200)

@@ -125,6 +125,11 @@ def test_integrate_univariate_rejects_repeated_roots():
         integrate_univariate(parse_poly("u^2", vars=("u",)), 0, ctx)
 
 
+def test_integrate_univariate_rejects_two_variables():
+    with pytest.raises(ValueError, match="not univariate"):
+        integrate_univariate(parse_poly("u+w"), 0, PadicContext(3, 1))
+
+
 def test_integrate_univariate_rejects_non_integer_coefficients():
     # |u/2|^s is 2^s |u|^s over Z_2, not the integral of |u|^s
     for p in (2, 3):

@@ -12,6 +12,7 @@ from igusa.context import PadicContext
 from igusa.families import zeta_xy_zi
 from igusa.integrate2d import zeta_two_var
 from igusa.poly import parse_poly
+from igusa.zeta import one_var_integral
 
 
 def _run(capsys, *argv):
@@ -158,6 +159,70 @@ def test_divisibility(capsys):
     )
     assert code == 0
     assert "a_min" in out
+
+
+@pytest.mark.parametrize("f", ["y^2-x^3", "x^2+y^5"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_divisibility_without_l_reads_the_zeta(capsys, f, p):
+    # with 2 variables and no --l, l is the smallest real pole of Z
+    code, out = _run(capsys, "--json", "divisibility", "-f", f, "--p", str(p), "-k", "6")
+    data = json.loads(out)
+    assert code == 0 and data["violations"] == []
+    assert data["a_min_constructive"] >= data["a_min_empirical"]
+
+
+def test_zeta_from_chart_file(capsys, tmp_path):
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps([{"k": 1, "monomials": [[1, 1]], "box": [0, 0]}]))
+    code, out = _run(capsys, "--json", "zeta", "--charts", str(cells), "--p", "3")
+    assert code == 0
+    assert json.loads(out) == one_var_integral(3, 0, 1, 1).to_json()
+
+
+def _xyzi_file(capsys, tmp_path, i, p):
+    zfile = tmp_path / "z.json"
+    zfile.write_text(_run(capsys, "--json", "zeta", "--family", "xyzi", "--i", str(i), "--p", str(p))[1])
+    return str(zfile)
+
+
+def test_poles_character_order_drops_odd_N(capsys, tmp_path):
+    # x*y+z^2 has the factors (N, nu) = (1, 1) and (2, 3)
+    zfile = _xyzi_file(capsys, tmp_path, 2, 3)
+    code, out = _run(capsys, "--json", "poles", "--zeta", zfile, "--chi-order", "2")
+    assert code == 0
+    assert json.loads(out)["candidates"] == [{"N": 2, "nu": 3, "real_part": "-3/2", "real_pole": True}]
+
+
+def test_verify_prime_mismatch_is_usage_error(capsys, tmp_path):
+    zfile = _xyzi_file(capsys, tmp_path, 2, 3)
+    assert run(["verify", "-f", "x*y+z^2", "--zeta", zfile, "--p", "5", "-k", "2"]) == 2
+    assert "--p does not match the zeta file" in capsys.readouterr().err
+
+
+def test_laurent_at_an_integer_s0(capsys, tmp_path):
+    zfile = _xyzi_file(capsys, tmp_path, 2, 3)
+    code, out = _run(capsys, "--json", "laurent", "--zeta", zfile, "--s0", "-1")
+    data = json.loads(out)
+    assert code == 0 and data["s0"] == "-1" and data["pole_order"] == 1
+    assert data["coefficients"]["b_-1"] == {"M": 1, "coeffs": ["8/9"], "logpow": 1}
+
+
+def test_resolve_smooth_germ_has_no_curves(capsys):
+    code, out = _run(capsys, "--json", "resolve", "-f", "y-x^2")
+    assert code == 0
+    assert json.loads(out) == {"curves": [], "adjacency": [], "strict_components": []}
+    assert _run(capsys, "resolve", "-f", "y-x^2") == (0, "already normal crossings\n")
+
+
+def test_deeply_nested_input_is_an_error_not_a_crash(capsys):
+    assert run(["count", "-f", "(" * 3000 + "x" + ")" * 3000, "--p", "3", "-i", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_huge_exponent_parses_at_once(capsys):
+    code, out = _run(capsys, "--json", "count", "-f", "x^99999999+y", "--p", "3", "-i", "3")
+    assert code == 0 and json.loads(out)["count"] == 27
 
 
 def test_usage_errors(capsys):

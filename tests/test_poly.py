@@ -51,6 +51,53 @@ def test_parse_syntax_error():
         parse_poly("x + ")
 
 
+def test_unary_minus_binds_more_loosely_than_power():
+    for text, expected in (("x*-y^2", "-x*y^2"), ("2*-x^2", "-2*x^2"), ("3*-2^2", "-12"),
+                           ("-y^2", "-y^2"), ("x--y^2", "y^2 + x"), ("(-y)^2", "y^2")):
+        assert format_poly(parse_poly(text, vars=("x", "y"))) == expected
+
+
+_leaf_text = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["x", "y"]))
+
+
+def _compound_text(sub):
+    # a power's base is a leaf or parenthesised: Python's ** chains, ^ does not
+    base = st.one_of(_leaf_text, sub.map("({})".format))
+    return st.one_of(
+        st.tuples(sub, st.sampled_from(["+", "-", "*"]), sub).map("".join),
+        sub.map("-{}".format),
+        sub.map("({})".format),
+        st.tuples(base, st.integers(0, 3)).map(lambda bk: f"{bk[0]}^{bk[1]}"),
+    )
+
+
+@settings(max_examples=500)
+@given(st.recursive(_leaf_text, _compound_text, max_leaves=8),
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_parse_follows_python_precedence(text, point):
+    expected = eval(text.replace("^", "**"), {"__builtins__": {}}, dict(zip("xy", point)))
+    assert parse_poly(text, vars=("x", "y")).eval_int(point) == expected
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_value_error(text):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_poly(text)
+
+
+def test_power_by_repeated_squaring():
+    f = parse_poly("x+2*y-1")
+    acc = MultiPoly.const(f.vars, 1)
+    for k in range(10):
+        assert f**k == acc
+        acc = acc * f
+    start = time.perf_counter()
+    g = parse_poly("x^1000000+y")
+    assert time.perf_counter() - start < 1
+    assert g.terms == {(1000000, 0): 1, (0, 1): 1}
+
+
 def test_variable_order_first_appearance():
     assert poly_variables("z^2 + x*y") == ("z", "x", "y")
 
