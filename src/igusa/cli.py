@@ -4,11 +4,13 @@
 counts M_0..M_k from one level-by-level Hensel pass; `count --mode naive`
 enumerates every point mod p^i.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error (bad
-arguments, a level below 0, a malformed zeta or chart file, such as a zeta
-file with p not prime or a factor with N < 1 or nu < 1), 3 unsupported
-input (a non-squarefree `resolve` germ, a non-rational blowup center), 4
-internal error (an ArithmeticError such as an exceeded recursion depth).
+Exit codes: 0 success, 1 verification mismatch or a divisibility violation,
+2 usage error (bad arguments, a level below 0, a malformed zeta or chart
+file, such as a zeta file with p not prime or a factor with N < 1 or
+nu < 1) or a Hensel level that would build more than `NAIVE_BUDGET`
+lifts, 3 unsupported input (a non-squarefree `resolve` germ, a
+non-rational blowup center), 4 internal error (an ArithmeticError such as
+an exceeded recursion depth).
 """
 
 from __future__ import annotations
@@ -194,13 +196,15 @@ def cmd_divisibility(args) -> int:
     else:
         raise UsageError("--l is required unless f has exactly 2 variables")
     a_min = min_shift(series, l)
-    report = check_divisibility(series, l, a_min)
+    # with Z known, the counts are checked against the shift Z constructs;
+    # with --l alone, only the least shift of the counts themselves exists
+    a = a_min if z is None else constructive_shift(z, f.nvars, l)[0]
+    report = check_divisibility(series, l, a)
     data = report.to_json()
     data["a_min_empirical"] = a_min
     if z is not None:
-        a_con, _ = constructive_shift(z, f.nvars, l)
-        data["a_min_constructive"] = a_con
-    _emit(args, data, lambda: f"l = {_fmt_frac(l)}, n = {f.nvars}, a_min = {a_min}, "
+        data["a_min_constructive"] = a
+    _emit(args, data, lambda: f"l = {_fmt_frac(l)}, n = {f.nvars}, a_min = {a}, "
           f"checked i <= {args.k}: "
           + ("all divisibility bounds hold" if report.ok else "VIOLATIONS"))
     return 0 if report.ok else 1

@@ -2,11 +2,18 @@
 
 Both evaluate f with `_eval_mod`, square-and-multiply over numpy arrays.  A
 zero mod p with a unit partial derivative lifts to p^((n-1)(i-1)) zeros mod
-p^i (Hensel's lemma).  For a zero a mod p^(j-1), j >= 2, that is singular mod
-p, Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) + p^(j-1) grad f(a).d
-= f(a) mod p^j for every digit vector d, since grad f(a) = 0 mod p and
-2(j-1) >= j: all p^n lifts of a pass or fail together.  So the Hensel pass
-evaluates f once per kept zero per level and counts p^n per survivor.
+p^i (Hensel's lemma).  For a zero a mod p^(j-1) that is singular mod p and a
+digit vector d, Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) +
+p^(j-1) grad f(a).d mod p^(2(j-1)).  Since grad f(a) = 0 mod p and 2(j-1)
+>= j for j >= 2, all p^n lifts of a pass or fail mod p^j with a: the pass
+evaluates f once per kept zero per level, and a survivor adds p^n to M_j.
+For j >= 3 also 2(j-1) >= j+1.  If a survives, f(a) = p^j F and grad f(a)
+= p G, and a lift survives level j+1 iff F + G.d = 0 mod p: for p^(n-1) of
+the d if G != 0 mod p, for all or none of them (by F) if G = 0.  So a last
+level imax >= 4 is counted from its parents, the survivors of level
+imax - 1 >= 3 (at j = 2 the terms of degree 2 in p d do not vanish mod
+p^3).  The other levels build lifts `_BLOCK` rows at a time, keep only the
+survivors, and refuse to build more than `NAIVE_BUDGET`.
 
 numpy is imported inside the functions that build arrays, so a command that
 does not count never loads it.
@@ -75,9 +82,10 @@ def _zeros(f: MultiPoly, pts, m: int):
 def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
     """The counts M_0..M_imax of one Hensel pass.  Level 1 enumerates the digit
     vectors, counts the smooth zeros in closed form and keeps the singular
-    ones; level j >= 2 evaluates f mod p^j once per kept zero a mod p^(j-1),
-    adds p^n to M_j for each survivor (all lifts of a pass with it) and
-    lifts only the survivors by every digit vector times p^(j-1)."""
+    ones that are zeros mod p^2: the survivors of level 2.  A survivor a of
+    level j, a zero mod p^j given mod p^(j-1), adds p^n to M_j, and level
+    j + 1 keeps its lifts a + p^(j-1) d that are zeros mod p^(j+1).  A last
+    level imax >= 4 is counted by Taylor's formula (module docstring)."""
     if imax < 0:
         raise ValueError(f"level {imax} < 0")
     n, q = f.nvars, p**f.nvars
@@ -87,29 +95,48 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
 
     dtype = np.int64 if p**imax <= 2**31 else object
     counts = [1] + [0] * imax
+    grads = [f.derivative(v) for v in f.vars]
 
-    def digits(d):
-        return (d[:, None] // p ** np.arange(n) % p).astype(dtype)
+    def lifts(parents, step):
+        """The rows a + step d for a in parents and every digit vector d, in
+        blocks of at most _BLOCK: digit vectors, then parents, by blocks."""
+        for lo in range(0, q, _BLOCK):
+            d = np.arange(lo, min(lo + _BLOCK, q))[:, None] // p ** np.arange(n) % p
+            d = d.astype(dtype) * step
+            rows = max(1, _BLOCK // len(d))
+            for r in range(0, len(parents), rows):
+                yield (parents[r:r + rows, None] + d).reshape(-1, n)
 
-    pts = []  # the zeros mod p^(j-1) that are singular mod p
-    for lo in range(0, q, _BLOCK):
-        block = _zeros(f, digits(np.arange(lo, min(lo + _BLOCK, q))), p)
-        smooth = np.zeros(len(block), dtype=bool)
-        for v in f.vars:
-            smooth |= _eval_mod(f.derivative(v), block.T, p) != 0
+    def grad_nonzero(pts, m):
+        nonzero = np.zeros(len(pts), dtype=bool)
+        for g in grads:
+            nonzero |= _eval_mod(g, pts.T, m) != 0
+        return nonzero
+
+    pts = []
+    for block in lifts(np.zeros((1, n), dtype=dtype), 1):
+        block = _zeros(f, block, p)
+        smooth = grad_nonzero(block, p)
         s = int(np.count_nonzero(smooth))
         for i in range(1, imax + 1):
             counts[i] += s * p ** ((n - 1) * (i - 1))
-        pts.append(block[~smooth])
+        counts[1] += len(block) - s
+        pts.append(_zeros(f, block[~smooth], p ** min(imax, 2)))
     pts = np.concatenate(pts)
-    counts[1] += len(pts)
-    for j in range(2, imax + 1):
-        pts = np.concatenate([pts[:0]] + [_zeros(f, pts[lo:lo + _BLOCK], p**j)
-                                          for lo in range(0, len(pts), _BLOCK)])
+    for j in range(2, imax + 1):  # pts: the survivors of level j
         counts[j] += q * len(pts)
-        if not len(pts) or j == imax:
+        if j == imax or not len(pts):
             break
-        pts = (pts[:, None] + digits(np.arange(q)) * p ** (j - 1)).reshape(-1, n)
+        if j + 1 == imax >= 4:
+            # f(a + p^(j-1) d) = p^j (F + G.d) mod p^(j+1), F = f(a)/p^j, G = grad f(a)/p
+            F = _eval_mod(f, pts.T, p**imax) // p**j
+            g = grad_nonzero(pts, p * p)
+            counts[imax] += q * (q // p * int(np.count_nonzero(g))
+                                 + q * int(np.count_nonzero(~g & (F == 0))))
+            break
+        if len(pts) * q > NAIVE_BUDGET:
+            raise ValueError(f"level {j + 1}: {len(pts) * q} lifts exceed budget {NAIVE_BUDGET}")
+        pts = np.concatenate([_zeros(f, b, p ** (j + 1)) for b in lifts(pts, p ** (j - 1))])
     return PoincareSeries(p, n, counts)
 
 

@@ -100,9 +100,9 @@ def resolve_germ(f: MultiPoly) -> ResolutionTree:
     sites = [(f, {})]
     while sites:
         s, axes = sites.pop()
+        # every site is centred on a point of the strict transform: f(0, 0) = 0
+        # and each new center is a root of a tangent-cone factor, so mu >= 1
         mu = s.multiplicity_at_origin()
-        if mu == 0:
-            continue
         xmult, ymult, factors = tangent_cone_factors(s, xn, yn)
         if mu == 1:
             # smooth strict transform

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from igusa import cli, counting
 from igusa.cli import run
 from igusa.context import PadicContext
 from igusa.families import zeta_xy_zi
@@ -169,6 +170,25 @@ def test_divisibility_without_l_reads_the_zeta(capsys, f, p):
     data = json.loads(out)
     assert code == 0 and data["violations"] == []
     assert data["a_min_constructive"] >= data["a_min_empirical"]
+
+
+def test_divisibility_without_l_flags_a_too_small_shift(capsys, monkeypatch):
+    # with Z known, the counts are checked against Z's constructive shift;
+    # a_min_empirical = 1 here, so a shift of 0 must be violated
+    monkeypatch.setattr(cli, "constructive_shift", lambda z, n, l: (0, None))
+    code, out = _run(capsys, "--json", "divisibility", "-f", "y^2-x^3", "--p", "2", "-k", "6")
+    data = json.loads(out)
+    assert code == 1
+    assert data["a_min"] == data["a_min_constructive"] == 0 < data["a_min_empirical"]
+    assert data["violations"]
+    code, out = _run(capsys, "divisibility", "-f", "y^2-x^3", "--p", "2", "-k", "6")
+    assert code == 1 and out.rstrip().endswith("VIOLATIONS")
+
+
+def test_hensel_budget_is_an_error_not_a_crash(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "NAIVE_BUDGET", 1000)
+    assert run(["poincare", "-f", "x*y+z^2", "--p", "3", "-k", "6"]) == 2
+    assert capsys.readouterr().err.startswith("error: level 5: 2673 lifts exceed budget")
 
 
 def test_zeta_from_chart_file(capsys, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from igusa import counting
 from igusa.counting import (
     _eval_mod,
     count_hensel,
@@ -17,7 +18,7 @@ from igusa.counting import (
 from igusa.context import PadicContext
 from igusa.families import zeta_xy_zi
 from igusa.poly import MultiPoly, parse_poly
-from igusa.zeta import one_var_integral
+from igusa.zeta import one_var_integral, poincare_from_zeta
 
 
 def test_naive_linear():
@@ -108,10 +109,11 @@ _PROPERTY_BUDGET = 2 * 10**5
 
 
 @st.composite
-def _small_polys(draw):
-    """Integer polynomials in 2 or 3 variables with up to 4 terms of
-    exponents <= 3; half are g^2 h, so non-reduced ones are drawn too."""
-    names = ("x", "y", "z")[: draw(st.integers(2, 3))]
+def _small_polys(draw, min_vars=2, max_vars=3):
+    """Integer polynomials in min_vars to max_vars variables with up to 4
+    terms of exponents <= 3; half are g^2 h, so non-reduced ones are drawn
+    too."""
+    names = ("x", "y", "z")[: draw(st.integers(min_vars, max_vars))]
     exps = st.tuples(*[st.integers(0, 3)] * len(names))
     terms = st.dictionaries(exps, st.integers(-6, 6).filter(bool), min_size=1, max_size=4)
     f = MultiPoly(names, draw(terms))
@@ -160,10 +162,10 @@ def _lift_every_digit_vector(f, p, imax):
 
 
 @st.composite
-def _deep_cases(draw):
+def _deep_cases(draw, nvars=(2, 3), primes=(2, 3)):
     """(f, p): a small polynomial, the constant p, or f free of its last
     variable."""
-    f, p = draw(_small_polys()), draw(st.sampled_from([2, 3]))
+    f, p = draw(_small_polys(*nvars)), draw(st.sampled_from(primes))
     kind = draw(st.sampled_from(["poly", "constant", "free"]))
     if kind == "constant":
         f = MultiPoly(f.vars, {(0,) * f.nvars: p})
@@ -175,9 +177,18 @@ def _deep_cases(draw):
 @settings(max_examples=150)
 @given(_deep_cases())
 def test_hensel_matches_lifting_every_digit_vector(case):
-    # levels count_naive cannot afford: k up to 6 in 2 variables, 4 in 3
+    # levels count_naive cannot afford: k up to 6 in 2 variables, 4 in 3;
+    # k >= 4 puts the last level on Taylor's formula
     f, p = case
     k = 6 if f.nvars == 2 else 4
+    assert poincare_truncation(f, p, k).counts() == _lift_every_digit_vector(f, p, k), (f, p)
+
+
+@settings(max_examples=100)
+@given(st.one_of(_deep_cases(nvars=(1, 1), primes=(2, 3, 5)), _deep_cases(nvars=(2, 2), primes=(5,))))
+def test_hensel_matches_lifting_every_digit_vector_in_one_variable_and_at_p5(case):
+    f, p = case
+    k = 8 if f.nvars == 1 else 4
     assert poincare_truncation(f, p, k).counts() == _lift_every_digit_vector(f, p, k), (f, p)
 
 
@@ -189,12 +200,34 @@ def test_hensel_square_object_dtype():
 
 
 def test_hensel_memory_stays_blocked():
-    # p^n = 101^3 digit vectors: level 1 must stay in _BLOCK-row blocks and
-    # the one singular zero (0, 0, 0) is not lifted at the last level
-    tracemalloc.start()
-    try:
-        poincare_truncation(parse_poly("x*y+z^2"), 101, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 10**6
+    # p^n = 101^3 digit vectors: level 1 and the lifts of (0, 0, 0) at level
+    # 3 stay in _BLOCK-row blocks, and the 31^2 survivors of level 3 at
+    # p = 31 are not lifted at the last level (64 MB and 734 MB when every
+    # level was lifted as one array)
+    f = parse_poly("x*y+z^2")
+    for p, k in ((101, 2), (101, 3), (31, 4)):
+        tracemalloc.start()
+        try:
+            poincare_truncation(f, p, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6, (p, k)
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_hensel_large_p_matches_zeta(p):
+    # the last level of p^3 lifts per survivor is counted, not enumerated
+    predicted = poincare_from_zeta(zeta_xy_zi(PadicContext(p, 3), 2), 3, 4).counts()
+    assert poincare_truncation(parse_poly("x*y+z^2"), p, 4).counts() == predicted
+
+
+def test_hensel_budget(monkeypatch):
+    # at p = 3, x*y+z^2 has 1, 9 and 99 survivors at levels 2, 3 and 4, so
+    # level 5 would test 99 * 27 = 2673 lifts
+    f = parse_poly("x*y+z^2")
+    monkeypatch.setattr(counting, "NAIVE_BUDGET", 1000)
+    with pytest.raises(ValueError, match=r"^level 5: 2673 lifts exceed budget 1000$"):
+        poincare_truncation(f, 3, 6)
+    # a last level counted by Taylor's formula builds no lifts
+    assert poincare_truncation(f, 3, 5).counts() == [1, 9, 99, 891, 8505, 76545]

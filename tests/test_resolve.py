@@ -1,11 +1,18 @@
 """Plane-curve germ resolution: numerical data, dual graphs, relations."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from igusa import resolve
 from igusa.charts import CharacterSpec
-from igusa.poly import parse_poly
+from igusa.cli import run
+from igusa.poly import MultiPoly, is_squarefree, parse_poly
 from igusa.resolve import (
     NonRationalCenterError,
     relations_check,
@@ -173,3 +180,40 @@ def test_rational_tangent_directions_three_lines():
     assert tree.numerical_data() == [(3, 2)]
     assert [(s.attached_to, s.degree) for s in tree.strict_components] == [(1, 1)] * 3
     assert relations_check(tree, 1)["ok"]
+
+
+_GERM_EXPONENTS = [(i, j) for i in range(5) for j in range(5) if 0 < i + j]
+
+
+def _text(terms, first, second):
+    """The germ sum c x^i y^j over terms {(i, j): c}, written so that `first`
+    is named before `second`: parse_poly orders its variables so."""
+    pos = {"x": 0, "y": 1}
+    return " + ".join(f"({c})*{first}^{e[pos[first]]}*{second}^{e[pos[second]]}"
+                      for e, c in terms.items())
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.sampled_from(_GERM_EXPONENTS),
+                       st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=4))
+def test_every_site_lies_on_the_strict_transform(terms):
+    # resolve_germ has no branch for a site of multiplicity 0: f(0, 0) = 0,
+    # and each new center is a root of a tangent-cone factor.  resolve --json
+    # in both variable orders sees mu >= 1 at every site it blows up or closes
+    assume(is_squarefree(MultiPoly(("x", "y"), terms)))
+    tangent_cone_factors, mus = resolve.tangent_cone_factors, []
+
+    def recording(s, x, y):
+        mus.append(s.multiplicity_at_origin())
+        return tangent_cone_factors(s, x, y)
+
+    for order in ("x", "y"), ("y", "x"):
+        out = io.StringIO()
+        with mock.patch.object(resolve, "tangent_cone_factors", recording), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(["--json", "resolve", "-f", _text(terms, *order)])
+        # 3: a tangent-cone factor of degree >= 2 repeats, no rational center
+        assert code in (0, 3), (terms, order, code)
+        if code == 0:
+            assert set(json.loads(out.getvalue())) == {"curves", "adjacency", "strict_components"}
+    assert mus and min(mus) >= 1
