@@ -2,15 +2,16 @@
 
 `count --mode hensel`, `poincare`, `verify` and `divisibility` take their
 counts M_0..M_k from one level-by-level Hensel pass; `count --mode naive`
-enumerates every point mod p^i.
+enumerates every point mod p^i.  `--json` precedes the command word, whose
+own parser (one per command) reads the arguments after it.
 
 Exit codes: 0 success, 1 verification mismatch or a divisibility violation,
 2 usage error (bad arguments, a level below 0, a malformed zeta or chart
-file, such as a zeta file with p not prime or a factor with N < 1 or
-nu < 1) or a Hensel level that would build more than `NAIVE_BUDGET`
-lifts, 3 unsupported input (a non-squarefree `resolve` germ, a
-non-rational blowup center), 4 internal error (an ArithmeticError such as
-an exceeded recursion depth).
+file, such as a zeta file with p not a prime int or a factor with N or nu
+not an int >= 1) or a Hensel level that would build more than
+`NAIVE_BUDGET` lifts, 3 unsupported input (a non-squarefree `resolve`
+germ, a non-rational blowup center), 4 internal error (an ArithmeticError
+such as an exceeded recursion depth).
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def cmd_divisibility(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> dict:
+    """{command word: its parser} and, under None, the top-level parser."""
     ap = argparse.ArgumentParser(prog="igusa-zeta",
                                  description="Exact p-adic zeta functions")
     ap.add_argument("--json", action="store_true", help="JSON output")
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("-k", type=int, required=True)
     c.add_argument("--l")
-    return ap
+    return {None: ap, **sub.choices}
 
 
 COMMANDS = {
@@ -275,9 +277,16 @@ COMMANDS = {
 
 
 def run(argv) -> int:
-    ap = build_parser()
+    parsers, as_json = build_parser(), argv[:1] == ["--json"]
+    cmd, *rest = argv[as_json:] or [None]
     try:
-        args = ap.parse_args(argv)
+        if cmd in COMMANDS:  # only this command's parser reads the rest
+            args, extra = parsers[cmd].parse_known_args(rest)
+            if extra:
+                parsers[None].error(f"unrecognized arguments: {' '.join(extra)}")
+            args.json, args.cmd = as_json, cmd
+        else:  # -h, a missing or unknown command, or --json spelt otherwise
+            args = parsers[None].parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

@@ -40,16 +40,16 @@ class QPoly:
             cs.pop()
         g = gcd(d, *cs) if d > 0 else -gcd(d, *cs)
         # from a list: CPython then reuses freed tuples (a generator cost 2 MB of RSS)
-        self.nums: tuple[int, ...] = tuple([c // g for c in cs])
+        self.nums: tuple[int, ...] = tuple(cs if g == 1 else [c // g for c in cs])
         self.den: int = d // g
 
     @classmethod
     def const(cls, c: Fraction | int) -> "QPoly":
-        return cls([c])
+        return cls.monomial(c, 0)
 
     @classmethod
     def monomial(cls, c: Fraction | int, k: int) -> "QPoly":
-        return cls([0] * k + [c])
+        return cls.from_ints([0] * k + [c.numerator], c.denominator)
 
     @classmethod
     def from_ints(cls, cs: Sequence[int], d: int) -> "QPoly":
@@ -96,7 +96,6 @@ class QPoly:
         return QPoly.from_ints(convolve(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c: Fraction | int) -> "QPoly":
-        c = Fraction(c)
         return QPoly.from_ints([a * c.numerator for a in self.nums], self.den * c.denominator)
 
     def shift(self, k: int) -> "QPoly":

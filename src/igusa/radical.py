@@ -7,12 +7,13 @@ is zero exactly when its residue is.  `inverse` is a closed form on integers
 for w^k (a + b w^r), and the extended Euclidean algorithm for the rest; that
 one scales each remainder to a primitive integer polynomial, which keeps
 the remainders' coefficients small (over Q they grow at every step).
+`sign` bounds p^(1/M) by integer Newton iteration from a float estimate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from typing import Sequence
 
 from .qpoly import QPoly, convolve
@@ -66,6 +67,8 @@ class RadicalScalar:
         return self.lifted(M), other.lifted(M)
 
     def __add__(self, other) -> "RadicalScalar":
+        if isinstance(other, (int, Fraction)):
+            return RadicalScalar(self.p, self.M, self.poly + QPoly.const(other))
         a, b = self._common(other)
         return RadicalScalar(a.p, a.M, a.poly + b.poly)
 
@@ -75,7 +78,7 @@ class RadicalScalar:
         return RadicalScalar(self.p, self.M, -self.poly)
 
     def __sub__(self, other) -> "RadicalScalar":
-        return self + (-other if isinstance(other, RadicalScalar) else -Fraction(other))
+        return self + -other
 
     def __mul__(self, other) -> "RadicalScalar":
         if isinstance(other, (int, Fraction)):
@@ -196,13 +199,14 @@ class RadicalScalar:
 def _root_bounds(p: int, M: int, bits: int) -> tuple[int, int]:
     """Integers lo <= 2^bits * p^(1/M) <= hi with hi - lo = 1 (or equal)."""
     target = p << (bits * M)
-    lo, hi = 0, (p << bits)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**M <= target:
-            lo = mid
-        else:
-            hi = mid - 1
+    # e = log2 of the root, good to ~40 bits; the first Newton step lands at or
+    # above the floor root (AM-GM), later ones decrease strictly down to it
+    e = log2(p) / M + bits
+    sh = max(int(e) - 52, 0)
+    x = int(2 ** (e - sh)) << sh
+    lo = ((M - 1) * x + target // x ** (M - 1)) // M
+    while (x := ((M - 1) * lo + target // lo ** (M - 1)) // M) < lo:
+        lo = x
     if lo**M == target:
         return lo, lo
     return lo, lo + 1

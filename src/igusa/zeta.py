@@ -147,16 +147,16 @@ class ZetaRational:
 
     @classmethod
     def from_json(cls, data: dict) -> "ZetaRational":
-        """Raises ValueError unless p is prime and every factor has
-        N >= 1 and nu >= 1."""
-        if not is_prime(data["p"]):
-            raise ValueError(f"p = {data['p']} is not prime")
+        """Raises ValueError unless p is a prime int and every factor has
+        ints N >= 1 and nu >= 1 (a float or a bool is not an int here)."""
+        if type(data["p"]) is not int or not is_prime(data["p"]):
+            raise ValueError(f"p = {data['p']!r} is not a prime int")
         pairs = [(int(a), int(b)) for a, b in data["numerator"]]
         D = lcm(*(b for _, b in pairs))  # 0 if some b is 0: then D // b raises
         num = QPoly.from_ints([a * (D // b) for a, b in pairs], D)
         den = Counter((f["N"], f["nu"]) for f in data["denominator"])
-        if any(N < 1 or nu < 1 for N, nu in den):
-            raise ValueError("need N >= 1 and nu >= 1 in every denominator factor")
+        if any(type(N) is not int or type(nu) is not int or N < 1 or nu < 1 for N, nu in den):
+            raise ValueError("need ints N >= 1 and nu >= 1 in every denominator factor")
         return cls._of(data["p"], num, den)
 
     def __eq__(self, other: object) -> bool:

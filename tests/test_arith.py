@@ -3,15 +3,17 @@
 import itertools
 import json
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from igusa.context import vp
+from igusa.context import PadicContext, vp
+from igusa.families import residue_x2_ayl_odd
 from igusa.qpoly import QPoly
-from igusa.radical import RadicalScalar, ResidueValue
+from igusa.radical import RadicalScalar, ResidueValue, _root_bounds
 from igusa.zeta import (
     ZetaRational,
     divide_binomial,
@@ -200,6 +202,76 @@ def test_radical_binomial_inverse(p, M, data):
     assert x * inv == 1 and inv * x == 1
     _assert_lowest_terms(inv.poly)
     assert inv.inverse() == x
+
+
+@settings(max_examples=300)
+@given(_radical_triples(), st.integers(0, 8), st.one_of(st.integers(-30, 30), _FRACTIONS))
+def test_kernel_fast_paths_match_the_fraction_paths(case, k, c):
+    """monomial, scale and rational + - on RadicalScalar read r's numerator
+    and denominator; each agrees with the path through Fraction(r), or through
+    a rational RadicalScalar lifted to M."""
+    p, M, (xs, _, _) = case
+    a = RadicalScalar(p, M, xs)
+    for r in (c, 0, -3, Fraction(-2, 7)):
+        assert QPoly.monomial(r, k).to_ints() == QPoly([0] * k + [r]).to_ints()
+        f = Fraction(r)
+        old = QPoly.from_ints([x * f.numerator for x in a.poly.nums], a.poly.den * f.denominator)
+        assert a.poly.scale(r).to_ints() == old.to_ints()
+        want = a + RadicalScalar.from_rational(p, r)
+        minus = a + RadicalScalar.from_rational(p, -r)
+        for got, ref in ((a + r, want), (r + a, want), (a - r, minus)):
+            assert (got.M, got.poly.to_ints()) == (ref.M, ref.poly.to_ints())
+
+
+def _bisection_root_bounds(p, M, bits):
+    """_root_bounds by bisection on [0, p 2^bits]: about bits M-th powers."""
+    target = p << (bits * M)
+    lo, hi = 0, p << bits
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**M <= target:
+            lo = mid
+        else:
+            hi = mid - 1
+    return (lo, lo) if lo**M == target else (lo, lo + 1)
+
+
+_PRIMES_TO_101 = [q for q in range(2, 102) if all(q % d for d in range(2, q))]
+
+
+def test_root_bounds_match_bisection():
+    """Every prime p <= 101 and M <= 80 at 32 bits, where sign starts, and at
+    every precision sign refines to (64, ..., 4096 bits) where bisection's
+    numbers stay below 2560 bits (M * bits <= 2560); M = 1 at every
+    precision, where the root is exact and the bounds meet."""
+    for bits in (32 << i for i in range(8)):
+        for p in _PRIMES_TO_101:
+            for M in range(1, 81):
+                if M * bits <= 2560 or M == 1:
+                    assert _root_bounds(p, M, bits) == _bisection_root_bounds(p, M, bits)
+            assert _root_bounds(p, 1, bits) == (p << bits, p << bits)
+
+
+@pytest.mark.parametrize("p, M", [(2, 80), (7, 66), (101, 80)])
+def test_root_bounds_at_4096_bits(p, M):
+    # bisection would take 4096 powers of 4096-bit numbers: check the two
+    # inequalities that define its answer instead
+    lo, hi = _root_bounds(p, M, 4096)
+    assert hi == lo + 1 and lo**M <= p << (4096 * M) < hi**M
+
+
+def test_sign_of_a_66_term_residue():
+    """x^2 + a y^33 at p = 7: M = 66 and all 66 coefficients nonzero; the
+    residue is positive, as a 60-digit evaluation at 7^(1/66) agrees."""
+    for a in (1, -3):
+        value = residue_x2_ayl_odd(PadicContext(7, 2), a, 16).value
+        nums, den = value.poly.to_ints()
+        assert value.M == 66 and len(nums) == 66 and all(nums)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            w = Decimal(7) ** (Decimal(1) / 66)
+            approx = sum(Decimal(c) * w**i for i, c in enumerate(nums)) / den
+        assert value.sign() == 1 and approx > 0
 
 
 def _sign(x):

@@ -329,12 +329,21 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
         ("poles", {"p": 4, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 1}]}),
         ("laurent", {"p": 3, "numerator": [["1", "0"]], "denominator": [{"N": 1, "nu": 1}]}),
         ("laurent", {"p": 3, "numerator": [["1.5", "2"]], "denominator": [{"N": 1, "nu": 1}]}),
+        ("poles", {"p": 3.0, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 1}]}),
+        ("laurent", {"p": 3.0, "numerator": [["1", "1"]], "denominator": [{"N": 1, "nu": 1}]}),
+        ("poles", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 2.0, "nu": 1}]}),
+        ("laurent", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 2.0, "nu": 1}]}),
+        ("poles", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 2, "nu": 1.5}]}),
+        ("laurent", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 2, "nu": 1.5}]}),
+        ("poles", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": True, "nu": 1}]}),
     ],
     ids=["no-cells", "cell-without-monomials", "cells-not-a-list", "box-negative",
          "ord-eta-not-int", "N-not-int", "boxes-of-different-lengths", "ord-eps-negative",
          "zeta-without-numerator", "zeta-without-denominator",
          "laurent-N-zero", "poles-N-zero", "verify-nu-zero", "poles-p-not-prime",
-         "numerator-zero-denominator", "numerator-not-int"],
+         "numerator-zero-denominator", "numerator-not-int",
+         "poles-p-float", "laurent-p-float", "poles-N-float", "laurent-N-float",
+         "poles-nu-float", "laurent-nu-float", "poles-N-bool"],
 )
 def test_malformed_files_are_usage_errors(capsys, tmp_path, cmd, content):
     path = tmp_path / "in.json"
@@ -347,3 +356,33 @@ def test_malformed_files_are_usage_errors(capsys, tmp_path, cmd, content):
     }[cmd]
     assert run(list(argv)) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+COMMAND_WORDS = ["count", "poincare", "zeta", "resolve", "laurent", "poles", "verify",
+                 "divisibility"]
+
+
+def test_cli_grammar(capsys, tmp_path):
+    """`[--json] COMMAND ...`: help exits 0, and a missing or unknown command,
+    --json after the command word, a missing required flag or a bad choice
+    exit 2 with argparse's message; flags may be abbreviated, and laurent's
+    -m changes nothing."""
+    for flag in ("-h", "--help"):
+        assert run([flag]) == 0
+        out = capsys.readouterr().out
+        assert all(word in out for word in COMMAND_WORDS)
+    assert run(["zeta", "-h"]) == 0 and "--family" in capsys.readouterr().out
+    family = ["--family", "xyzi", "--i", "2", "--p", "3"]
+    for argv in ([], ["nosuch"], ["--json", "nosuch"], ["zeta", "--json", *family],
+                 ["zeta", "--family", "xyzi", "--i", "2"],
+                 ["count", "-f", "x*y", "--p", "3", "-i", "1", "--mode", "bogus"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err, argv
+        assert "Traceback" not in captured.err, argv
+    code, out = _run(capsys, "--json", "zeta", "--fam", "xyzi", "--i", "2", "--p", "3")
+    assert code == 0 and out == _run(capsys, "--json", "zeta", *family)[1]
+    zfile = tmp_path / "z.json"
+    zfile.write_text(out)
+    laurent = ["--json", "laurent", "--zeta", str(zfile), "--s0=-3/2"]
+    assert _run(capsys, *laurent, "-m", "4") == _run(capsys, *laurent)
