@@ -14,16 +14,17 @@ other class is a subproblem, reached by one affine substitution
 subproblems run once, scaled by their count.  `charts.integrate_univariate`
 runs the same descent on f free of y.
 
-A call whose class scan finds a subproblem first tries the Newton closure
-(`_newton_closure`), which closes the whole call in one step when f is
-non-degenerate mod p with respect to its Newton polygon: no face
-polynomial (f, f(0, y), f(x, 0), each compact edge and each vertex) has a
-singular zero on (F_p^*)^2.  W is then a sum over the cones of the dual
-fan of the polygon, whose rays carry the numerical data (N, nu) of the
-edges (Denef-Hoornaert, J. Number Theory 89 (2001)), so y^2 - x^(2k+1)
-closes at the root.  A call that the scan closes by itself does not try
-it, since that would only add cost.  The closure declines a degenerate f,
-and an f with an edge whose (N, nu) has a common divisor: `reduced`
+The scan starts at the origin.  At the first class that descends (the
+origin, if it descends at all) the call tries the Newton closure
+(`_newton_closure`) once, before the other classes.  It closes the call in
+one step when f is non-degenerate mod p with respect to its Newton
+polygon: no face polynomial (f, f(0, y), f(x, 0), each compact edge and
+each vertex) has a singular zero on (F_p^*)^2.  W is then a sum over the
+dual fan of the polygon, whose rays carry the numerical data (N, nu) of
+the edges (Denef-Hoornaert, J. Number Theory 89 (2001)).  A call whose
+classes all close never tries it: the scan's Z lacks the closure's
+factors ((2, 3) for y - x^2, a smooth origin).  The closure declines a
+degenerate f and an edge whose (N, nu) has a common divisor: `reduced`
 cancels only whole binomials, so that binomial would stand in the JSON
 where the descent's smaller factors cancel.  Declined calls descend.
 
@@ -50,7 +51,7 @@ from math import gcd
 
 from .context import PadicContext, vp
 from .poly import MultiPoly, blowup_chart_a
-from .qpoly import QPoly
+from .qpoly import QPoly, convolve
 from .zeta import ZetaRational, one_var_integral, zeta_sum
 
 MAX_DEPTH = 200
@@ -106,6 +107,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
     # coordinate runs over c + pZ_p without weight iff its key is UNIT.
     factors: Counter = Counter()
     subproblems: Counter = Counter()
+    asked = False
     for c in range(p) if fx.terms else [None]:
         for d in range(p) if fy.terms else [None]:
             kx = (0, A, a) if c is None else UNIT if c else (1, A, a)
@@ -140,8 +142,10 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 gb, _ = blowup_chart_a(f, yn, xn)
                 subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0, None] += 1
                 subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0, None] += 1
-    if subproblems and (z := _newton_closure(f, p, A, a, B, b)) is not None:
-        return z.scale(scale).shift(tshift + w)
+            if subproblems and not asked:  # the first class that descends
+                asked = True
+                if (z := _newton_closure(f, p, A, a, B, b)) is not None:
+                    return z.scale(scale).shift(tshift + w)
     terms = [(_measure(p, *kx) * _measure(p, *ky)).scale(n) for (kx, ky), n in factors.items()]
     # equal arguments from different kinds of class run once
     W = cache(lambda g, *args: _W(g, p, *args, depth + 1))
@@ -154,9 +158,22 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
 @cache
 def _torus_zeros(g: MultiPoly, p: int) -> int | None:
     """The number of zeros of g (coefficients mod p) on (F_p^*)^2, or None
-    if g is zero mod p or one of them is singular."""
+    if g is zero mod p or one of them is singular.
+
+    A binomial c1 x^a y^b + c2 x^c y^d has (p - 1) h zeros there if
+    (-c1/c2)^((p-1)/h) = 1, else none, h = gcd(G, p - 1), G = gcd(c - a,
+    d - b): x^(c-a) y^(d-b) maps the torus onto the h-th powers, each one
+    (p - 1) h times.  Its gradient at a zero is c2 x^c y^d ((c - a)/x,
+    (d - b)/y), so p | G makes every zero singular.  Longer g are enumerated."""
     if len(g.terms) <= 1:
         return 0 if g.terms else None
+    if len(g.terms) == 2:
+        ((a, b), c1), ((c, d), c2) = g.terms.items()
+        G = gcd(c - a, d - b)
+        h = gcd(G, p - 1)
+        if pow(-c1 * pow(c2, -1, p), (p - 1) // h, p) != 1:
+            return 0
+        return None if G % p == 0 else (p - 1) * h
     gx, gy = (g.derivative(name) for name in g.vars)
     zeros = 0
     for pt in product(range(1, p), repeat=2):
@@ -221,6 +238,7 @@ def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> Zet
         if n is None:
             return None
         cones.append((gens, u, n))
+    sq = (p - 1) ** 2
     terms = []
     for gens, u, n in cones:
         points = [u]
@@ -229,17 +247,24 @@ def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> Zet
             D = r[0] * s[1] - r[1] * s[0]
             points = [q for q in product(range(u[0] + 1), range(u[1] + 1))
                       if 0 < q[0] * s[1] - q[1] * s[0] <= D and 0 < r[0] * q[1] - r[1] * q[0] <= D]
-        num = QPoly()
-        for N, nu in map(data, points):
-            num += QPoly.monomial(Fraction(1, p**nu), N)
+        # the sum of the p^(-nu) t^N as integers over p^E
+        pts = [data(q) for q in points]
+        E = max(nu for _, nu in pts)
+        cs, d = [0] * (max(N for N, _ in pts) + 1), p**E
+        for N, nu in pts:
+            cs[N] += p ** (E - nu)
         den: Counter = Counter()
         for N, nu in map(data, gens):
             if N:
                 den[N, nu] += 1
             else:  # the constant 1 / (1 - p^-nu)
-                num = num.scale(Fraction(p**nu, p**nu - 1))
-        J = [ZetaRational.const(p, Fraction((p - 1) ** 2 - n, p * p))]
+                cs, d = [c * p**nu for c in cs], d * (p**nu - 1)
+        # times J_tau: [p (sq - n), n p - sq] / p^3 over the factor (1, 1)
+        # of UNIT LIFT, sq = (p - 1)^2, the constant sq / p^2 when n = 0
         if n:
-            J.append((_measure(p, *UNIT) * _measure(p, *LIFT)).scale(n))
-        terms.append(zeta_sum(p, J) * ZetaRational(p, num, den))
+            cs, d = convolve(cs, [p * (sq - n), n * p - sq]), d * p**3
+            den[1, 1] += 1
+        else:
+            cs, d = [sq * c for c in cs], d * p * p
+        terms.append(ZetaRational._of(p, QPoly.from_ints(cs, d), den))
     return zeta_sum(p, terms)

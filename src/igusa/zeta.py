@@ -147,10 +147,12 @@ class ZetaRational:
 
     @classmethod
     def from_json(cls, data: dict) -> "ZetaRational":
-        """Raises ValueError unless p is a prime int and every factor has
-        ints N >= 1 and nu >= 1 (a float or a bool is not an int here)."""
+        """Raises ValueError unless p is a prime int, numerator entries are
+        ints or strings, and every factor has ints N, nu >= 1 (no float or bool)."""
         if type(data["p"]) is not int or not is_prime(data["p"]):
             raise ValueError(f"p = {data['p']!r} is not a prime int")
+        if any(type(x) not in (int, str) for pair in data["numerator"] for x in pair):
+            raise ValueError("numerator entries must be ints or integer strings")
         pairs = [(int(a), int(b)) for a, b in data["numerator"]]
         D = lcm(*(b for _, b in pairs))  # 0 if some b is 0: then D // b raises
         num = QPoly.from_ints([a * (D // b) for a, b in pairs], D)

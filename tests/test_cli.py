@@ -336,6 +336,9 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
         ("poles", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 2, "nu": 1.5}]}),
         ("laurent", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 2, "nu": 1.5}]}),
         ("poles", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": True, "nu": 1}]}),
+        ("laurent", {"p": 3, "numerator": [[1.5, 2]], "denominator": [{"N": 1, "nu": 1}]}),
+        ("laurent", {"p": 3, "numerator": [[1, 2.0]], "denominator": [{"N": 1, "nu": 1}]}),
+        ("poles", {"p": 3, "numerator": [[True, 1]], "denominator": [{"N": 1, "nu": 1}]}),
     ],
     ids=["no-cells", "cell-without-monomials", "cells-not-a-list", "box-negative",
          "ord-eta-not-int", "N-not-int", "boxes-of-different-lengths", "ord-eps-negative",
@@ -343,7 +346,8 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
          "laurent-N-zero", "poles-N-zero", "verify-nu-zero", "poles-p-not-prime",
          "numerator-zero-denominator", "numerator-not-int",
          "poles-p-float", "laurent-p-float", "poles-N-float", "laurent-N-float",
-         "poles-nu-float", "laurent-nu-float", "poles-N-bool"],
+         "poles-nu-float", "laurent-nu-float", "poles-N-bool",
+         "laurent-numerator-float", "laurent-numerator-denominator-float", "poles-numerator-bool"],
 )
 def test_malformed_files_are_usage_errors(capsys, tmp_path, cmd, content):
     path = tmp_path / "in.json"
