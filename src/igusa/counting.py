@@ -13,7 +13,9 @@ the d if G != 0 mod p, for all or none of them (by F) if G = 0.  So a last
 level imax >= 4 is counted from its parents, the survivors of level
 imax - 1 >= 3 (at j = 2 the terms of degree 2 in p d do not vanish mod
 p^3).  The other levels build lifts `_BLOCK` rows at a time, keep only the
-survivors, and refuse to build more than `NAIVE_BUDGET`.
+survivors, and refuse to build more than `NAIVE_BUDGET`; the same formula
+counts, from level j >= 3, the lifts level j + 2 would build, so a pass
+that must refuse does so before it builds level j + 1.
 
 numpy is imported inside the functions that build arrays, so a command that
 does not count never loads it.
@@ -113,6 +115,13 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
             nonzero |= _eval_mod(g, pts.T, m) != 0
         return nonzero
 
+    def taylor_survivors(pts, j):
+        """How many lifts of level j's survivors pts survive level j + 1, j >= 3:
+        f(a + p^(j-1) d) = p^j (F + G.d) mod p^(j+1), F = f(a)/p^j, G = grad f(a)/p."""
+        F = _eval_mod(f, pts.T, p ** (j + 1)) // p**j
+        g = grad_nonzero(pts, p * p)
+        return q // p * int(np.count_nonzero(g)) + q * int(np.count_nonzero(~g & (F == 0)))
+
     pts = []
     for block in lifts(np.zeros((1, n), dtype=dtype), 1):
         block = _zeros(f, block, p)
@@ -128,12 +137,13 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
         if j == imax or not len(pts):
             break
         if j + 1 == imax >= 4:
-            # f(a + p^(j-1) d) = p^j (F + G.d) mod p^(j+1), F = f(a)/p^j, G = grad f(a)/p
-            F = _eval_mod(f, pts.T, p**imax) // p**j
-            g = grad_nonzero(pts, p * p)
-            counts[imax] += q * (q // p * int(np.count_nonzero(g))
-                                 + q * int(np.count_nonzero(~g & (F == 0))))
+            counts[imax] += q * taylor_survivors(pts, j)
             break
+        if j >= 3 and j + 2 < imax and len(pts) * q * q > NAIVE_BUDGET:
+            # level j + 2 may build too many lifts: count them before building j + 1
+            lifts_next = taylor_survivors(pts, j) * q
+            if lifts_next > NAIVE_BUDGET:
+                raise ValueError(f"level {j + 2}: {lifts_next} lifts exceed budget {NAIVE_BUDGET}")
         if len(pts) * q > NAIVE_BUDGET:
             raise ValueError(f"level {j + 1}: {len(pts) * q} lifts exceed budget {NAIVE_BUDGET}")
         pts = np.concatenate([_zeros(f, b, p ** (j + 1)) for b in lifts(pts, p ** (j - 1))])

@@ -13,14 +13,6 @@ from .radical import RadicalScalar, ResidueValue
 from .zeta import ZetaRational, laurent_at
 
 
-class PoleSet:
-    def __init__(self, real_parts=()) -> None:
-        self.real_parts = set(Fraction(r) for r in real_parts)
-
-    def __eq__(self, other):
-        return isinstance(other, PoleSet) and self.real_parts == other.real_parts
-
-
 def zeta_sum_squares(ctx: PadicContext):
     """Zeta function of x^2 + y^2 and its Laurent data at s = -1."""
     z = zeta_two_var(parse_poly("x^2+y^2"), ctx)
@@ -128,8 +120,9 @@ def zeta_xy_zi(ctx: PadicContext, i: int) -> ZetaRational:
     return ZetaRational(q, num, {(1, 1): 1, (i, i + 1): 1})
 
 
-def combine_sum_poles(F: PoleSet, G: PoleSet) -> PoleSet:
-    return PoleSet(s1 + s2 for s1 in F.real_parts for s2 in G.real_parts)
+def combine_sum_poles(F: set[Fraction], G: set[Fraction]) -> set[Fraction]:
+    """The sums s1 + s2 of a real part s1 in F and a real part s2 in G."""
+    return {s1 + s2 for s1 in F for s2 in G}
 
 
 def theorem_membership(s0: Fraction, n: int) -> bool:

@@ -2,16 +2,19 @@
 
 Terms are stored as {exponent tuple: int coefficient}; the constructor is
 the one place that rejects a non-integral coefficient.  Tangent cones and
-the squarefree test run on integers (Yun, rational roots); sympy factors
-only a cone with a part of degree >= 4 or an end coefficient > 10^5 left.
+the squarefree test run on univariate `QPoly`s (rational roots, Yun, and
+gcds by `qpoly.prs`); sympy factors only a cone with a part of degree >= 4
+or an end coefficient > 10^5 left.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import count, islice, zip_longest
+from itertools import count, islice
 from math import comb, gcd
+
+from .qpoly import QPoly, prs
 
 
 class MultiPoly:
@@ -191,11 +194,9 @@ class _Parser:
         return t
 
     def expr(self) -> MultiPoly:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -1
-        node = self.term() * sign
+        if self.peek() == "+":  # a leading "-" is the unary minus of `atom`
+            self.take()
+        node = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
@@ -311,79 +312,57 @@ def format_poly(f: MultiPoly) -> str:
     return out
 
 
-# -- tangent cones and the squarefree test, on integer lists c_0, c_1, ... ----
+# -- tangent cones and the squarefree test, on QPoly ---------------------------
 
 
-def _primitive(a: list[int]) -> list[int]:
-    """Nonzero a over its content, with a positive leading coefficient."""
-    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
-    return [c // g for c in a]
+def _gcd(a: QPoly, b: QPoly) -> QPoly:
+    return prs(a, b)[0]
 
 
-def _trim(a: list[int]) -> list[int]:
-    return a[: max((i + 1 for i, c in enumerate(a) if c), default=0)]
+def _deriv(a: QPoly) -> QPoly:
+    return QPoly.from_ints([i * c for i, c in enumerate(a.nums)][1:], a.den)
 
 
-def _deriv(a: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(a)][1:]
+def _quo(a: QPoly, b: QPoly) -> QPoly | None:
+    """a / b if b divides a over Q, else None."""
+    q, r = a.divmod(b)
+    return q if r.is_zero() else None
 
 
-def _quo(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b if it lies in Z[x], else None; for a primitive b, iff b | a over Q."""
-    a, n, q = list(a), len(b) - 1, [0] * (len(a) - len(b) + 1)
-    for k in reversed(range(len(q))):
-        q[k], r = divmod(a[k + n], b[-1])
-        if r:
-            return None
-        for i, c in enumerate(b, k):
-            a[i] -= q[k] * c
-    return None if any(a) else q
-
-
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Q of a and b, not both zero (primitive PRS)."""
-    while b:
-        r = list(a)
-        while len(r) >= len(b):
-            top, r = r[-1], [b[-1] * c for c in r]
-            for i, c in enumerate(b, len(r) - len(b)):
-                r[i] -= top * c
-            r = _trim(r)
-        a, b = b, r and _primitive(r)
-    return _primitive(a)
-
-
-def _yun(a: list[int]) -> list[tuple[list[int], int]]:
+def _yun(a: QPoly) -> list[tuple[QPoly, int]]:
     """Yun's square-free decomposition of a nonzero a: the (a_i, i) with
     a = c * prod a_i^i, each a_i primitive, squarefree and nonconstant."""
     b = _gcd(a, _deriv(a))
     c, d, out, i = _quo(a, b), _quo(_deriv(a), b), [], 1
-    while len(c) > 1:
-        d = _trim([u - v for u, v in zip_longest(d, _deriv(c), fillvalue=0)])
+    while c.degree > 0:
+        d = d - _deriv(c)
         g = _gcd(c, d)
-        if len(g) > 1:
+        if g.degree > 0:
             out.append((g, i))
         c, d, i = _quo(c, g), _quo(d, g), i + 1
     return out
 
 
-def _factor_over_q(a: list[int]) -> list[tuple[list[int], int]] | None:
+def _factor_over_q(a: QPoly) -> list[tuple[list[int], int]] | None:
     """Irreducible factors over Q, with multiplicities, of a primitive a
     with a(0) != 0: a root u/v, u | a(0), v | lc(a), is v*tau - u, and the
     rest is split by Yun, its parts of degree 2 or 3 being irreducible.
     None if a part of degree >= 4 is left or a(0) or lc(a) exceeds 10^5."""
-    if max(abs(a[0]), a[-1]) > 10**5:
+    a0, lc = abs(a.nums[0]), a.nums[-1]
+    if max(a0, lc) > 10**5:
         return None
-    us, vs = ([k for k in range(1, n + 1) if n % k == 0] for n in (abs(a[0]), a[-1]))
+    us, vs = ([k for k in range(1, n + 1) if n % k == 0] for n in (a0, lc))
     out = []
     for u, v in [(s * u, v) for v in vs for u in us if gcd(u, v) == 1 for s in (1, -1)]:
-        m = 0
-        while len(a) > 1 and (q := _quo(a, [-u, v])) is not None:
+        m, root = 0, QPoly.from_ints([-u, v], 1)
+        while a.degree > 0 and (q := _quo(a, root)) is not None:
             a, m = q, m + 1
         if m:
             out.append(([-u, v], m))
-    parts = _yun(a)
-    return None if any(len(g) > 4 for g, _ in parts) else out + parts
+    parts = _yun(a) if a.degree > 0 else []  # the roots often leave a constant
+    if any(g.degree > 3 for g, _ in parts):
+        return None
+    return out + [(list(g.nums), i) for g, i in parts]
 
 
 def tangent_cone_factors(f: MultiPoly, xname: str, yname: str):
@@ -404,7 +383,7 @@ def tangent_cone_factors(f: MultiPoly, xname: str, yname: str):
     # dehomogenize: divide by x^a y^b, substitute x = 1, keep tau = y
     taus = {e[yi] - ymult: c for e, c in cone.terms.items()}
     cs = [taus.get(k, 0) for k in range(max(taus) + 1)]
-    factors = _factor_over_q(_primitive(cs))
+    factors = _factor_over_q(_gcd(QPoly.from_ints(cs, 1), QPoly()))  # the primitive cone
     if factors is None:
         import sympy
         _, flist = sympy.factor_list(sympy.Poly(cs[::-1], sympy.Symbol("tau")))
@@ -427,11 +406,11 @@ def is_squarefree(f: MultiPoly) -> bool:
         return True
     terms = {(0,) * (2 - f.nvars) + e: c for e, c in f.terms.items()}
     dx, dy = map(max, zip(*terms))
-    rows = [_trim([terms.get((i, k), 0) for i in range(dx + 1)]) for k in range(dy + 1)]
-    content = reduce(_gcd, filter(None, rows), [])
-    points = ([reduce(lambda v, c: v * x0 + c, reversed(r), 0) for r in rows] for x0 in count())
-    tries = islice((h for h in points if h[-1]), max(2 * dy - 1, 0) * dx + 1)
-    return _gcd(content, _deriv(content)) == [1] and any(_gcd(h, _deriv(h)) == [1] for h in tries)
+    rows = [QPoly.from_ints([terms.get((i, k), 0) for i in range(dx + 1)], 1) for k in range(dy + 1)]
+    content = reduce(_gcd, (r for r in rows if not r.is_zero()), QPoly())
+    points = ([reduce(lambda v, c: v * x0 + c, reversed(r.nums), 0) for r in rows] for x0 in count())
+    tries = islice((QPoly.from_ints(h, 1) for h in points if h[-1]), max(2 * dy - 1, 0) * dx + 1)
+    return _gcd(content, _deriv(content)).degree == 0 and any(_gcd(h, _deriv(h)).degree == 0 for h in tries)
 
 
 def blowup_chart_a(f: MultiPoly, xname: str, yname: str, tau0: int = 0) -> tuple["MultiPoly", int]:

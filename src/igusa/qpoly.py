@@ -1,6 +1,8 @@
-"""Dense univariate polynomials over Q: numerators in t, and residues in w
-of elements of Q(p^(1/M)).  Coefficients are integers over one denominator;
-`convolve` is the one integer product, shared with `RadicalScalar`."""
+"""Dense univariate polynomials over Q: numerators in t, residues in w of
+elements of Q(p^(1/M)), and tangent cones in tau.  Coefficients are integers
+over one denominator; `convolve` is the one integer product, shared with
+`RadicalScalar`, and `prs` the one Euclid, shared by the radical inverse and
+the tangent-cone factoring."""
 
 from __future__ import annotations
 
@@ -142,3 +144,23 @@ class QPoly:
             else:
                 parts.append(f"{c}*t^{i}")
         return " + ".join(parts)
+
+
+_ZERO, _ONE = QPoly.from_ints((), 1), QPoly.from_ints((1,), 1)  # QPolys are never mutated
+
+
+def prs(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
+    """(g, s): g the primitive gcd over Q of a and b, not both zero, and s
+    with s * b = g mod a.  Primitive remainder sequence: each remainder of
+    `QPoly.divmod` is scaled, with its cofactor, to a primitive integer
+    polynomial with a positive leading coefficient before it is divided,
+    which keeps the coefficients small (over Q they grow at every step)."""
+    s0, s1 = _ZERO, _ONE
+    while True:
+        c = gcd(*a.nums) if a.nums and a.nums[-1] > 0 else -gcd(*a.nums)
+        if c not in (0, 1) or a.den != 1:  # a is nonzero and not primitive
+            a, s0 = QPoly.from_ints([x // c for x in a.nums], 1), s0.scale(Fraction(a.den, c))
+        if b.is_zero():
+            return a, s0
+        q, r = a.divmod(b)
+        a, b, s0, s1 = b, r, s1, s0 - q * s1

@@ -4,10 +4,9 @@ Elements are represented in the quotient Q[w] / (w^M - p), each by its
 residue: a QPoly in w of degree < M.  For p prime the polynomial w^M - p is
 irreducible over Q (Eisenstein), so the quotient is a field and an element
 is zero exactly when its residue is.  `inverse` is a closed form on integers
-for w^k (a + b w^r), and the extended Euclidean algorithm for the rest; that
-one scales each remainder to a primitive integer polynomial, which keeps
-the remainders' coefficients small (over Q they grow at every step).
-`sign` bounds p^(1/M) by integer Newton iteration from a float estimate.
+for w^k (a + b w^r), and the cofactor of `qpoly.prs` against w^M - p for the
+rest.  `sign` bounds p^(1/M) by integer Newton iteration from a float
+estimate.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm, log2
 from typing import Sequence
 
-from .qpoly import QPoly, convolve
+from .qpoly import QPoly, convolve, prs
 
 
 class RadicalScalar:
@@ -58,9 +57,7 @@ class RadicalScalar:
         cs[::k] = self.poly.nums
         return RadicalScalar(self.p, M, QPoly.from_ints(cs, self.poly.den))
 
-    def _common(self, other) -> tuple["RadicalScalar", "RadicalScalar"]:
-        if isinstance(other, (int, Fraction)):
-            other = RadicalScalar.from_rational(self.p, other, 1)
+    def _common(self, other: "RadicalScalar") -> tuple["RadicalScalar", "RadicalScalar"]:
         if other.p != self.p:
             raise ValueError("mixed primes")
         M = lcm(self.M, other.M)
@@ -97,27 +94,19 @@ class RadicalScalar:
     def inverse(self) -> "RadicalScalar":
         """Field inverse.  One or two terms, w^k (A - B w^r) / D, in closed form:
         with n = M / gcd(r, M), (A - B w^r) sum_(j<n) A^(n-1-j) B^j w^(rj) is the
-        integer A^n - B^n p^(rn/M), nonzero for p prime.  Three or more terms go
-        through the extended Euclidean algorithm against w^M - p."""
+        integer A^n - B^n p^(rn/M), nonzero for p prime.  Three or more terms:
+        the cofactor s of `prs` against w^M - p, with s a = 1 mod w^M - p."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         nums, M, p = self.poly.nums, self.M, self.p
         k, *rest = [i for i, c in enumerate(nums) if c]
-        if len(rest) > 1:  # extended Euclid: s with s a = gcd mod w^M - p
-            mod = QPoly.from_ints([-p] + [0] * (M - 1) + [1], 1)
-            r0, r1 = mod, self.poly
-            s0, s1 = QPoly(), QPoly.const(1)
-            while not r1.is_zero():
-                q, r = r0.divmod(r1)
-                # make r primitive: s a = r (mod w^M - p) holds under any common scale
-                k = Fraction(r.den, gcd(*r.nums) or 1)
-                r0, r1 = r1, r.scale(k)
-                s0, s1 = s1, (s0 - q * s1).scale(k)
-            # r0 is a nonzero constant gcd (the modulus is irreducible); s0 has
-            # degree M - deg(the remainder before r0) < M, so it is reduced
-            if r0.degree != 0:
+        if len(rest) > 1:
+            g, s = prs(QPoly.from_ints([-p] + [0] * (M - 1) + [1], 1), self.poly)
+            # g is 1, a primitive nonzero constant (the modulus is irreducible),
+            # and s has degree M - deg(the remainder before g) < M: it is reduced
+            if g.degree != 0:
                 raise ArithmeticError("modulus not coprime to element")
-            return RadicalScalar(p, M, s0.scale(Fraction(r0.den, r0.nums[0])))
+            return RadicalScalar(p, M, s)
         r, B = (rest[0] - k, -nums[-1]) if rest else (0, 0)
         A, n = nums[k], M // gcd(r, M)
         vec, c = [0] * M, self.poly.den * A ** (n - 1)

@@ -107,6 +107,7 @@ def resolve_germ(f: MultiPoly) -> ResolutionTree:
         if mu == 1:
             # smooth strict transform
             if not axes:
+                tree.strict_components.append(StrictComponent(attached_to=-1))
                 continue
             if len(axes) == 1:
                 ((coord, cid),) = axes.items()
@@ -121,6 +122,7 @@ def resolve_germ(f: MultiPoly) -> ResolutionTree:
             # xmult, ymult <= 1 are two smooth branches crossing transversally:
             # already normal crossings, nothing to do (e.g. f = x*y)
             if all(len(cs) == 2 and m == 1 for cs, m in factors) and xmult <= 1 and ymult <= 1:
+                tree.strict_components += [StrictComponent(attached_to=-1) for _ in range(2)]
                 continue
         if step >= MAX_STEPS:
             raise ArithmeticError("max_steps exceeded")
@@ -233,5 +235,7 @@ def resolution_candidate_poles(
         for s in tree.strict_components:
             if s.attached_to >= 0 and rp == Fraction(-1) and rp_of[s.attached_to] == rp:
                 order = 2
+        if rp == -1 and sum(s.attached_to < 0 for s in tree.strict_components) == 2:
+            order = 2  # two free branches meet: a node that needs no blowup
         pole.expected_order = order
     return poles

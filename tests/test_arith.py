@@ -8,11 +8,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from igusa.context import PadicContext, vp
 from igusa.families import residue_x2_ayl_odd
-from igusa.qpoly import QPoly
+from igusa.qpoly import QPoly, prs
 from igusa.radical import RadicalScalar, ResidueValue, _root_bounds
 from igusa.zeta import (
     ZetaRational,
@@ -36,6 +37,24 @@ def test_qpoly_divmod():
     q, r = a.divmod(b)
     assert r.is_zero()
     assert q == QPoly([Fraction(1), Fraction(1)])
+
+
+_INT_LISTS = st.lists(st.integers(-6, 6), max_size=5)
+
+
+@settings(max_examples=300)
+@given(_INT_LISTS, _INT_LISTS, _INT_LISTS, st.integers(1, 6), st.integers(1, 6))
+def test_prs_gives_the_primitive_gcd_and_a_cofactor(a, b, c, da, db):
+    # the common factor c makes most gcds nonconstant; da, db are denominators
+    A = QPoly.from_ints(a, da) * QPoly.from_ints(c, 1)
+    B = QPoly.from_ints(b, db) * QPoly.from_ints(c, 1)
+    assume(not (A.is_zero() and B.is_zero()))
+    g, s = prs(A, B)
+    t = sympy.Symbol("t")
+    ref = sympy.Poly(sympy.gcd(sympy.Poly(A.nums[::-1], t), sympy.Poly(B.nums[::-1], t)), t)
+    assert g.den == 1 and list(g.nums) == [int(x) for x in ref.primitive()[1].all_coeffs()[::-1]]
+    r = s * B - g
+    assert r.is_zero() if A.is_zero() else r.divmod(A)[1].is_zero()
 
 
 def test_negative_shift_raises():

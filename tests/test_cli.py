@@ -230,7 +230,8 @@ def test_laurent_at_an_integer_s0(capsys, tmp_path):
 def test_resolve_smooth_germ_has_no_curves(capsys):
     code, out = _run(capsys, "--json", "resolve", "-f", "y-x^2")
     assert code == 0
-    assert json.loads(out) == {"curves": [], "adjacency": [], "strict_components": []}
+    assert json.loads(out) == {"curves": [], "adjacency": [],
+                               "strict_components": [{"attached_to": -1, "degree": 1}]}
     assert _run(capsys, "resolve", "-f", "y-x^2") == (0, "already normal crossings\n")
 
 

@@ -231,3 +231,14 @@ def test_hensel_budget(monkeypatch):
         poincare_truncation(f, 3, 6)
     # a last level counted by Taylor's formula builds no lifts
     assert poincare_truncation(f, 3, 5).counts() == [1, 9, 99, 891, 8505, 76545]
+
+
+def test_hensel_refuses_before_building_the_level_below(monkeypatch):
+    # at p = 7, k = 8, x*y+z^2 would test 2254037191 lifts at level 7; the
+    # survivors of level 6 are counted by Taylor's formula from those of
+    # level 5, so level 6 (its zeros mod 7^6) is never built
+    moduli, zeros = [], counting._zeros
+    monkeypatch.setattr(counting, "_zeros", lambda f, pts, m: moduli.append(m) or zeros(f, pts, m))
+    with pytest.raises(ValueError, match=r"^level 7: 2254037191 lifts exceed budget 100000000$"):
+        poincare_truncation(parse_poly("x*y+z^2"), 7, 8)
+    assert max(moduli) == 7**5

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from igusa import resolve
+from igusa.cli import run
 from igusa.poly import (
     MultiPoly,
     blowup_chart_a,
@@ -49,6 +50,30 @@ def test_parse_syntax_error():
         parse_poly("x^^2")
     with pytest.raises(ValueError):
         parse_poly("x + ")
+
+
+@pytest.mark.parametrize("text, vars, message", [
+    ("x$y", None, "bad character at '$y'"),
+    ("x^-2", None, "negative exponent"),
+    ("(x+y", None, "unbalanced parenthesis"),
+    ("x+z", ("x", "y"), "unknown variable 'z'"),
+    ("x+)", None, "unexpected token ')'"),
+    ("  ", None, "empty expression"),
+    ("x)", None, "trailing tokens near ')'"),
+])
+def test_parse_errors(text, vars, message, capsys):
+    with pytest.raises(ValueError) as err:
+        parse_poly(text, vars=vars)
+    assert str(err.value) == message
+    if vars is None:  # the CLI takes the variables from the text, so each is known
+        assert run(["count", "-f", text, "--p", "3", "-i", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_juxtaposition_multiplies():
+    for text, product in (("3x", "3*x"), ("x y", "x*y"), ("2(x+1)", "2*(x+1)"),
+                          ("2x^2y", "2*x^2*y"), ("(x+1)(y-1)", "(x+1)*(y-1)"), ("-3x y^2", "-3*x*y^2")):
+        assert parse_poly(text, vars=("x", "y")) == parse_poly(product, vars=("x", "y"))
 
 
 def test_unary_minus_binds_more_loosely_than_power():

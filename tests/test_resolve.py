@@ -9,10 +9,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from igusa import resolve
+from igusa import integrate2d, resolve
 from igusa.charts import CharacterSpec
 from igusa.cli import run
 from igusa.poly import MultiPoly, is_squarefree, parse_poly
+from igusa.zeta import laurent_at
 from igusa.resolve import (
     NonRationalCenterError,
     relations_check,
@@ -171,6 +172,23 @@ def test_rational_tangent_direction(text, same_as):
     tree = _tree(text)
     assert _shape(tree) == _shape(_tree(same_as))
     assert all(relations_check(tree, k)["ok"] for k in range(1, len(tree.log) + 1))
+
+
+@pytest.mark.parametrize("text, strict, orders", [
+    ("x*y", [(-1, 1)] * 2, {Fraction(-1): 2}),
+    ("y-x^2", [(-1, 1)], {Fraction(-1): 1}),
+    ("x*y*(x+y)", [(1, 1)] * 3, {Fraction(-1): 1, Fraction(-2, 3): 1}),
+])
+def test_free_branches_give_the_pole_minus_one(text, strict, orders):
+    # a smooth germ or a node needs no blowup; its branches are free, and
+    # the local Z over (pZ_p)^2 has each candidate as a pole of its order
+    tree = _tree(text)
+    assert [(s.attached_to, s.degree) for s in tree.strict_components] == strict
+    cps = resolution_candidate_poles(tree)
+    assert {c.real_part: c.expected_order for c in cps} == orders
+    for p in (2, 3):
+        z = integrate2d._W(parse_poly(text, vars=("x", "y")), p, 0, 1, 0, 1, 1, 1, 0).reduced()
+        assert {s0: laurent_at(z, s0).pole_order for s0, _ in z.candidate_poles()} == orders
 
 
 def test_rational_tangent_directions_three_lines():
