@@ -16,17 +16,19 @@ runs the same descent on f free of y.
 
 The scan starts at the origin.  At the first class that descends (the
 origin, if it descends at all) the call tries the Newton closure
-(`_newton_closure`) once, before the other classes.  It closes the call in
-one step when f is non-degenerate mod p with respect to its Newton
+(`_newton_closure`) once, before it builds that class's subproblem (at the
+origin, two blowup charts) or scans the other classes.  It closes the call
+in one step when f is non-degenerate mod p with respect to its Newton
 polygon: no face polynomial (f, f(0, y), f(x, 0), each compact edge and
-each vertex) has a singular zero on (F_p^*)^2.  W is then a sum over the
+each vertex) has a singular zero on (F_p^*)^2.  W is then one pass over the
 dual fan of the polygon, whose rays carry the numerical data (N, nu) of
-the edges (Denef-Hoornaert, J. Number Theory 89 (2001)).  A call whose
-classes all close never tries it: the scan's Z lacks the closure's
-factors ((2, 3) for y - x^2, a smooth origin).  The closure declines a
-degenerate f and an edge whose (N, nu) has a common divisor: `reduced`
-cancels only whole binomials, so that binomial would stand in the JSON
-where the descent's smaller factors cancel.  Declined calls descend.
+the edges (Denef-Hoornaert, J. Number Theory 89 (2001)): one term per cone,
+from its vertex and its lattice points in O(det), and one `zeta_sum`.  A
+call whose classes all close never tries it: the scan's Z lacks the
+closure's factors ((2, 3) for y - x^2, a smooth origin).  The closure
+declines a degenerate f and an edge whose (N, nu) has a common divisor:
+`reduced` cancels only whole binomials, so that binomial would stand in the
+JSON where the descent's smaller factors cancel.  Declined calls descend.
 
 A crossing class (c, 0) of a weighted y axis, where f = 0 and f_y != 0
 mod p and x runs over c + pZ_p unweighted, closes in one step.  For each
@@ -107,7 +109,6 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
     # coordinate runs over c + pZ_p without weight iff its key is UNIT.
     factors: Counter = Counter()
     subproblems: Counter = Counter()
-    asked = False
     for c in range(p) if fx.terms else [None]:
         for d in range(p) if fy.terms else [None]:
             kx = (0, A, a) if c is None else UNIT if c else (1, A, a)
@@ -120,9 +121,15 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
             sx, sy = fx.eval_int(pt) % p, fy.eval_int(pt) % p
             if sy and uy:
                 factors[kx, LIFT] += 1
-            elif sx and ux:
+                continue
+            if sx and ux:
                 factors[LIFT, ky] += 1
-            elif sy and ux:  # crossing of the weighted y axis: h'(x) = f(c + p x, 0)
+                continue
+            # the first class that descends asks the closure, before its
+            # subproblem (at the origin, two blowup charts) is built
+            if not subproblems and (z := _newton_closure(f, p, A, a, B, b)) is not None:
+                return z.scale(scale).shift(tshift + w)
+            if sy and ux:  # crossing of the weighted y axis: h'(x) = f(c + p x, 0)
                 subproblems[f.subs({xn: (c, p), yn: (0, 0)}), 0, 1, 0, 1, 0, 0, 1, (B, b)] += 1
             elif sx and uy:
                 subproblems[f.subs({xn: (0, 0), yn: (d, p)}), 0, 1, 0, 1, 0, 0, 1, (A, a)] += 1
@@ -142,10 +149,6 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 gb, _ = blowup_chart_a(f, yn, xn)
                 subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0, None] += 1
                 subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0, None] += 1
-            if subproblems and not asked:  # the first class that descends
-                asked = True
-                if (z := _newton_closure(f, p, A, a, B, b)) is not None:
-                    return z.scale(scale).shift(tshift + w)
     terms = [(_measure(p, *kx) * _measure(p, *ky)).scale(n) for (kx, ky), n in factors.items()]
     # equal arguments from different kinds of class run once
     W = cache(lambda g, *args: _W(g, p, *args, depth + 1))
@@ -184,6 +187,17 @@ def _torus_zeros(g: MultiPoly, p: int) -> int | None:
     return zeros
 
 
+def _parallelepiped(r: tuple[int, int], s: tuple[int, int]) -> list[tuple[int, int]]:
+    """The lattice points x r + y s, 0 < x, y <= 1, for primitive r, s with
+    D = det(r, s) > 0, in O(D): with det(r, w) = 1 and c = det(s, w), the
+    one with det(r, q) = j is j w + (floor(j c / D) + 1) r, j = 1, ..., D."""
+    (r0, r1), (s0, s1) = r, s
+    w1 = pow(r0, -1, r1) if r1 else r0  # r1 = 0 makes r0 = +-1
+    w0 = (r0 * w1 - 1) // r1 if r1 else 0
+    D, c = r0 * s1 - r1 * s0, s0 * w1 - s1 * w0
+    return [(j * w0 + k * r0, j * w1 + k * r1) for j in range(1, D + 1) for k in [j * c // D + 1]]
+
+
 def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> ZetaRational | None:
     """W of a normalised f (content 1, no factor x or y) over Z_p^2 when f
     is non-degenerate mod p with respect to its Newton polygon, else None.
@@ -192,11 +206,15 @@ def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> Zet
     m(k) the least k.e over the exponents e of f and tau the face where it
     is reached.  If f_tau has no singular zero on (F_p^*)^2, the units add
     J_tau = ((p-1)^2 - N_tau) UNIT^2 + N_tau UNIT LIFT, N_tau its zeros
-    there (Denef-Hoornaert, Thm 4.2).  The k of one cone of the dual fan
-    share tau, and m is linear on the cone, so the sum of their
-    p^(-nu(k)) t^N(k), (N, nu)(k) = (A k1 + B k2 + m(k), a k1 + b k2), is
-    that of the points q of the cone's fundamental parallelepiped over
-    prod (1 - p^(-nu(g)) t^N(g)) over its generators g.  An edge whose
+    there (Denef-Hoornaert, Thm 4.2).  One pass over the dual fan: a 2-cone,
+    between adjacent rays, has a vertex v of the polygon as its face, with
+    N_tau = 0; a ray has an edge or axis face through v, and {0} f itself.
+    Only these last, with two terms or more, count zeros (`_torus_zeros`).
+    On a cone m(k) = v.k, so (N, nu)(k) = (((A, B) + v).k, (a, b).k), and
+    the sum of the p^(-nu(k)) t^N(k) over the cone's interior is that over
+    its fundamental parallelepiped (`_parallelepiped`) divided by
+    prod (1 - p^(-nu(g)) t^N(g)) over its generators g: an integer list over
+    its own denominator.  One `zeta_sum` adds the cones.  An edge whose
     (N, nu) has a common divisor declines: `ZetaRational.reduced` cancels
     only whole binomials, and the descent reaches that edge through the
     factors of a smaller one."""
@@ -217,44 +235,36 @@ def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> Zet
     # face: the usual way to decline, so it is tested first
     if any(f.terms[v] % p == 0 for v in hull):
         return None
-    edges = [(j0 - j1, i1 - i0) for (i0, j0), (i1, j1) in zip(hull, hull[1:])]
-    rays = [(1, 0), *((u // gcd(u, v), v // gcd(u, v)) for u, v in edges), (0, 1)]
-
-    def dot(q, e):
-        return q[0] * e[0] + q[1] * e[1]
-
-    def data(q):
-        return dot((A, B), q) + min(dot(q, e) for e in f.terms), dot((a, b), q)
-
-    if any(gcd(*data(r)) > 1 for r in rays[1:-1]):
+    rays = [(1, 0), *((u // g, v // g) for (i0, j0), (i1, j1) in zip(hull, hull[1:])
+                      for u, v in [(j0 - j1, i1 - i0)] for g in [gcd(u, v)]), (0, 1)]
+    # the edge ray after vertex v has m(k) = v.k
+    if any(gcd((A + i) * u + (B + j) * v, a * u + b * v) > 1 for (i, j), (u, v) in zip(hull, rays[1:-1])):
         return None
-    # the cones: between adjacent rays the 2-cone of a vertex, each ray,
-    # and {0}, whose face is f itself
-    cones = []
-    for gens in [*zip(rays, rays[1:]), *((r,) for r in rays), ()]:
-        u = tuple(map(sum, zip((0, 0), *gens)))  # a point inside the cone
-        m = min(dot(u, e) for e in f.terms)
-        n = _torus_zeros(MultiPoly(f.vars, {e: c % p for e, c in f.terms.items() if dot(u, e) == m}), p)
-        if n is None:
-            return None
-        cones.append((gens, u, n))
+    # (vertex, generators): the 2-cones, the rays, each through the vertex
+    # before it (the first through hull[0]), and {0}
+    cones = [*zip(hull, zip(rays, rays[1:])), *((v, (r,)) for v, r in zip([hull[0], *hull], rays)),
+             ((0, 0), ())]
     sq = (p - 1) ** 2
     terms = []
-    for gens, u, n in cones:
-        points = [u]
-        if len(gens) == 2:  # u and the c r + c' s with 0 < c, c' < 1
-            r, s = gens
-            D = r[0] * s[1] - r[1] * s[0]
-            points = [q for q in product(range(u[0] + 1), range(u[1] + 1))
-                      if 0 < q[0] * s[1] - q[1] * s[0] <= D and 0 < r[0] * q[1] - r[1] * q[0] <= D]
+    for (i, j), gens in cones:
+        if len(gens) == 2:
+            n, points = 0, _parallelepiped(*gens)
+        else:  # a ray, or {0}
+            u, v = gens[0] if gens else (0, 0)
+            points, m = [(u, v)], i * u + j * v
+            face = {e: c for e, c0 in f.terms.items() if e[0] * u + e[1] * v == m and (c := c0 % p)}
+            if (n := _torus_zeros(MultiPoly(f.vars, face), p) if len(face) > 1 else 0) is None:
+                return None
         # the sum of the p^(-nu) t^N as integers over p^E
-        pts = [data(q) for q in points]
+        P, Q = A + i, B + j
+        pts = [(P * u + Q * v, a * u + b * v) for u, v in points]
         E = max(nu for _, nu in pts)
         cs, d = [0] * (max(N for N, _ in pts) + 1), p**E
         for N, nu in pts:
             cs[N] += p ** (E - nu)
         den: Counter = Counter()
-        for N, nu in map(data, gens):
+        for u, v in gens:
+            N, nu = P * u + Q * v, a * u + b * v
             if N:
                 den[N, nu] += 1
             else:  # the constant 1 / (1 - p^-nu)

@@ -354,9 +354,9 @@ def _factor_over_q(a: QPoly) -> list[tuple[list[int], int]] | None:
     us, vs = ([k for k in range(1, n + 1) if n % k == 0] for n in (a0, lc))
     out = []
     for u, v in [(s * u, v) for v in vs for u in us if gcd(u, v) == 1 for s in (1, -1)]:
-        m, root = 0, QPoly.from_ints([-u, v], 1)
-        while a.degree > 0 and (q := _quo(a, root)) is not None:
-            a, m = q, m + 1
+        m = 0  # v^n a(u/v) = 0, in integers, proves that v*tau - u divides a
+        while a.degree > 0 and not sum(c * u**i * v ** (a.degree - i) for i, c in enumerate(a.nums)):
+            a, m = _quo(a, QPoly.from_ints([-u, v], 1)), m + 1
         if m:
             out.append(([-u, v], m))
     parts = _yun(a) if a.degree > 0 else []  # the roots often leave a constant

@@ -201,25 +201,29 @@ def times_binomials(cs: list[int], d: int, p: int, factors) -> tuple[list[int], 
     if not cs:
         return cs, d
     for (N, nu), m in factors.items():
-        pn = p**nu
+        pn, pad = p**nu, [0] * N
         for _ in range(m):
-            out = [pn * c for c in cs] + [0] * N
-            out[N:] = [a - c for a, c in zip(out[N:], cs)]
-            cs, d = out, d * pn
+            cs, d = [pn * c - c0 for c, c0 in zip([*cs, *pad], [*pad, *cs])], d * pn
     return cs, d
 
 
 def zeta_sum(p: int, terms) -> ZetaRational:
     """The sum of a sequence of ZetaRationals at p over one denominator: for
     each factor the largest multiplicity any term has.  Each numerator is
-    lifted to it once (`times_binomials`) and the integer lists are added
-    once, so the factor multiset does not depend on the order of the terms."""
+    lifted to it once (`times_binomials`, by the factors it lacks) and the
+    integer lists are added once, so the factor multiset does not depend on
+    the order of the terms.  The union and the lacking factors are plain
+    dict updates: Counter's `|` and `-` rebuild a Counter per term."""
     if any(z.p != p for z in terms):
         raise ValueError("mixed primes")
     den: Counter = Counter()
     for z in terms:
-        den |= z.denominator
-    lifted = [times_binomials(*z.numerator.to_ints(), p, den - z.denominator) for z in terms]
+        for key, m in z.denominator.items():
+            if m > den.get(key, 0):
+                den[key] = m
+    lifted = [times_binomials(*z.numerator.to_ints(), p,
+                              {key: m - k for key, m in den.items() if m > (k := z.denominator.get(key, 0))})
+              for z in terms]
     D = lcm(*(d for _, d in lifted))
     scaled = ([D // d * c for c in cs] for cs, d in lifted)
     total = [sum(col) for col in zip_longest(*scaled, fillvalue=0)]

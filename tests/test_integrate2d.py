@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -242,12 +243,43 @@ def test_newton_closure_keeps_json(f, p):
         assert ok, (predicted, actual)
 
 
+def test_newton_closure_at_deep_call_weights():
+    # the descent asks the closure under the weights (A, a), (B, b) that its
+    # blowups and crossings collect, not only the root's (0, 1, 0, 1):
+    # wherever it closes, it must equal the descent without it
+    rng = random.Random(24)
+    closed = 0
+    for _ in range(300):
+        terms = {(rng.randint(0, 5), rng.randint(0, 5)): rng.choice([-3, -2, -1, 1, 2, 3])
+                 for _ in range(rng.randint(2, 4))}
+        ex, ey = (min(e[i] for e in terms) for i in (0, 1))
+        g = gcd(*terms.values())
+        f = MultiPoly(("x", "y"), {(i - ex, j - ey): c // g for (i, j), c in terms.items()})
+        p = rng.choice([2, 3, 5])
+        A, a, B, b = rng.randint(0, 3), rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 3)
+        z = integrate2d._newton_closure(f, p, A, a, B, b)
+        if z is None:
+            continue
+        with mock.patch.object(integrate2d, "_newton_closure", lambda *args: None):
+            try:
+                descended = integrate2d._W(f, p, A, a, B, b, 0, 0, 0)
+            except ArithmeticError as e:
+                if str(e) != "integration recursion depth exceeded":
+                    raise
+                continue
+        closed += 1
+        assert z == descended, (f, p, A, a, B, b)
+    assert closed >= 150
+
+
 # before the closure these took 104 to 21,533 `_W` calls, or did not
 # finish in 20 s, depending on the order; it closes each at the root.  At
 # p = 1009 the root call scanned all p^2 classes and enumerated the torus
-# of each face before it closed: 3.3-3.9 s
+# of each face before it closed: 3.3-3.9 s.  The last two have two compact
+# edges and cones that are not unimodular, of dets 1, 3, 2 and 1, 2, 1
 HARD_ROWS = [("y^2-x^9", 3, 3), ("y^2-x^13", 3, 3), ("y^2-x^21", 3, 3), ("y^2-x^3", 101, 2),
-             ("y^2-x^3", 1009, 3), ("y^3-x^4", 1009, 3)]
+             ("y^2-x^3", 1009, 3), ("y^3-x^4", 1009, 3), ("y^5+x^3*y^2+x^8", 2, 4),
+             ("y^3+x^2*y+x^5", 3, 4)]
 
 
 @pytest.mark.parametrize("text, p, k", HARD_ROWS, ids=[f"{t}-{p}" for t, p, _ in HARD_ROWS])
@@ -264,6 +296,7 @@ def test_newton_closure_hard_rows(monkeypatch, text, p, k):
     ctx = PadicContext(p, 2)
     xy = zeta_two_var(parse_poly(text, vars=("x", "y")), ctx)
     yx = zeta_two_var(parse_poly(text, vars=("y", "x")), ctx)
+    assert next(calls) == 3  # one call, the root, in each order
     assert json.dumps(xy.to_json()) == json.dumps(yx.to_json())
     assert eval_at_one(xy) == 1
     ok, predicted, actual = verify_zeta_against_counts(xy, parse_poly(text, vars=("x", "y")), k)
@@ -317,6 +350,29 @@ def test_torus_zeros_of_binomials_in_closed_form():
             assert n == _brute_torus_zeros(c1, e1, c2, e2, p), (p, e1, c1, e2, c2)
             seen.add(n if n is None else min(n, 1))
     assert seen == {None, 0, 1}  # singular zeros, no zeros and smooth zeros all drawn
+
+
+def _box_scan(r, s):
+    """The lattice points x r + y s, 0 < x, y <= 1, by a scan of the box
+    around the parallelepiped: the reference for `_parallelepiped`."""
+    D = r[0] * s[1] - r[1] * s[0]
+    xs, ys = zip((0, 0), r, s, (r[0] + s[0], r[1] + s[1]))
+    box = itertools.product(range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1))
+    return sorted(q for q in box if 0 < q[0] * s[1] - q[1] * s[0] <= D and 0 < r[0] * q[1] - r[1] * q[0] <= D)
+
+
+def test_parallelepiped_points_match_box_scan():
+    rng = random.Random(24)
+    pairs = [((1, 0), (0, 1)), ((1, 0), (2, 5)), ((2, 5), (0, 1)), ((0, 1), (-1, 0)), ((1, 0), (3, 80))]
+    while len(pairs) < 300:
+        r, s = ((rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(2))
+        if rng.random() < 0.3:  # an axis ray, as at the ends of the fan
+            r = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1)])
+        if 1 <= r[0] * s[1] - r[1] * s[0] <= 80 and gcd(*r) == gcd(*s) == 1:
+            pairs.append((r, s))
+    for r, s in pairs:
+        assert sorted(integrate2d._parallelepiped(r, s)) == _box_scan(r, s), (r, s)
+    assert {r[0] * s[1] - r[1] * s[0] for r, s in pairs} >= {1, 2, 3, 80}
 
 
 # digests recorded before the closure was added.  Both edge rays of
