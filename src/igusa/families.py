@@ -9,7 +9,7 @@ from .context import PadicContext, vp
 from .integrate2d import zeta_two_var
 from .poly import MultiPoly, parse_poly
 from .qpoly import QPoly
-from .radical import RadicalScalar, ResidueValue
+from .radical import RadicalScalar, ResidueValue, geometric
 from .zeta import ZetaRational, laurent_at
 
 
@@ -17,8 +17,7 @@ def zeta_sum_squares(ctx: PadicContext):
     """Zeta function of x^2 + y^2 and its Laurent data at s = -1."""
     z = zeta_two_var(parse_poly("x^2+y^2"), ctx)
     exp = laurent_at(z, Fraction(-1))
-    laurent = [(Fraction(-1), exp.b(exp.pole_order))]
-    return z, laurent
+    return z, [(Fraction(-1), exp.b(exp.pole_order))]
 
 
 def is_square_qp(a: int, p: int) -> bool:
@@ -31,8 +30,6 @@ def is_square_qp(a: int, p: int) -> bool:
     u = a // p**v
     if p == 2:
         return u % 8 == 1
-    if u % p == 0:
-        raise AssertionError
     return pow(u % p, (p - 1) // 2, p) == 1
 
 
@@ -43,7 +40,6 @@ def zeta_x2_ayl(ctx: PadicContext, a: int, l: int):
         raise ValueError("need l >= 2")
     if a == 0:
         raise ValueError("a must be nonzero")
-    p = ctx.p
     f = MultiPoly(("x", "y"), {(2, 0): 1, (0, l): a})
     z = zeta_two_var(f, ctx)
     parts = real_pole_parts(z)
@@ -59,64 +55,64 @@ def real_pole_parts(z: ZetaRational) -> list[Fraction]:
     return [s0 for s0, _ in z.candidate_poles() if z.is_real_pole(s0)]
 
 
+def _residue(p: int, M: int, kappa: Fraction, terms: list[tuple[int, int, int, int]]) -> ResidueValue:
+    """kappa / p sum c w^x / (1 - B w^k) over the (c, k, x, B) in terms, in
+    Q(w), w = p^(1/M), as one integer vector over one denominator: each term
+    is a geometric sum (`geometric`), and with B = 1 it is
+    w^x / (1 - w^k) = sum_(j<n) w^(kj + x) / (1 - p^(kn/M)), n = M / gcd(k, M)."""
+    sums = [(c, *geometric(p, M, k, x, 1, B)) for c, k, x, B in terms]
+    L = lcm(*(D for _, _, D in sums))
+    acc = [0] * M
+    for c, vec, D in sums:
+        m = c * L // D * kappa.numerator
+        acc = [y + m * v for y, v in zip(acc, vec)]
+    return ResidueValue(RadicalScalar(p, M, QPoly.from_ints(acc, p * L * kappa.denominator)), 1)
+
+
 def residue_x2_ayl_odd(ctx: PadicContext, a: int, r: int) -> ResidueValue:
-    """Closed-form residue of x^2 + a*y^(2r+1) at s0 = -1/2 - 1/(2r+1)."""
+    """Closed-form residue of x^2 + a*y^(2r+1), r >= 1, at s0 = -1/2 - 1/(2r+1):
+    kappa |a|^(-1/(2r+1)) ((p-2)/p + (p-1)/p sum_k (w^k - 1)^(-1)) in Q(w),
+    w = p^(1/M), M = 2(2r+1), for k/M = 1/2, 1/2 - 1/(2r+1) and 1/(2r+1),
+    with kappa = (p-1)/(p(4r+2)) and |a|^(-1/(2r+1)) = w^(2 v_p(a))."""
+    if r < 1:
+        raise ValueError("need r >= 1")
     if a == 0:
         raise ValueError("a must be nonzero")
-    q = ctx.p
-    M = lcm(2, 2 * r + 1)
-    one = RadicalScalar.from_rational(q, 1, M)
-    va = vp(a, q)
-
-    def qpow(e: Fraction) -> RadicalScalar:
-        return RadicalScalar.p_power(q, e).lifted(M)
-
-    bracket = (
-        one * Fraction(q - 2, q)
-        + Fraction(q - 1, q) * (qpow(Fraction(1, 2)) - 1).inverse()
-        + Fraction(q - 1, q)
-        * (qpow(Fraction(1, 2) - Fraction(1, 2 * r + 1)) - 1).inverse()
-        + Fraction(q - 1, q) * (qpow(Fraction(1, 2 * r + 1)) - 1).inverse()
-    )
-    kappa = Fraction(q - 1, q * (4 * r + 2))
-    value = bracket * qpow(Fraction(va, 2 * r + 1)) * kappa
-    return ResidueValue(value, 1)
+    q, M, v = ctx.p, 4 * r + 2, 2 * vp(a, ctx.p)
+    terms = [(q - 2, 0, v, 0)] + [(1 - q, k, v, 1) for k in (2 * r + 1, 2 * r - 1, 2)]
+    return _residue(q, M, Fraction(q - 1, q * M), terms)
 
 
 def residue_x2_ayl_even(ctx: PadicContext, a: int, r: int) -> ResidueValue:
-    """Closed-form residue of x^2 + a*y^(2r) at s0 = -(r+1)/(2r), in the
-    character-free subcases: -a a non-square unit (p odd), or p = 2 with
-    |1 + a*u^2| = 1/2 on the units (e.g. a = 1)."""
+    """Closed-form residue of x^2 + a*y^(2r), r >= 1, at s0 = -(r+1)/(2r), in
+    the character-free subcases, kappa = (p-1)/(2rp), w = p^(1/M): if -a is a
+    non-square unit (p odd), kappa (1 + (p-1)/p (w - 1)^(-1)) with M = r; if p = 2
+    and |1 + a*u^2| = 1/2 on the units (a = 1 mod 8), kappa ((p-1)/p + p^(-s0)/p
+    + (p-1)/p (p^(1/r) - 1)^(-1)) with M = lcm(r, the denominator of s0)."""
+    if r < 1:
+        raise ValueError("need r >= 1")
     q = ctx.p
     kappa = Fraction(q - 1, q * 2 * r)
-    inv = (RadicalScalar.p_power(q, Fraction(1, r)) - 1).inverse()
     if q != 2:
         if is_square_qp(-a, q) or vp(a, q) != 0:
             raise ValueError("closed form requires -a a non-square unit")
-        value = (inv * Fraction(q - 1, q) + 1) * kappa
-    else:
-        if a % 8 != 1:
-            raise ValueError("p = 2 closed form requires a = 1 mod 8")
-        s0 = Fraction(-(r + 1), 2 * r)
-        value = (
-            inv * Fraction(q - 1, q)
-            + RadicalScalar.from_rational(q, Fraction(q - 1, q))
-            + RadicalScalar.p_power(q, -s0) * Fraction(1, q)
-        ) * kappa
-    return ResidueValue(value, 1)
+        return _residue(q, r, kappa, [(q, 0, 0, 0), (1 - q, 1, 0, 1)])
+    if a % 8 != 1:
+        raise ValueError("p = 2 closed form requires a = 1 mod 8")
+    M = lcm(r, Fraction(r + 1, 2 * r).denominator)  # p^(-s0) = w^((r+1)M/(2r))
+    terms = [(q - 1, 0, 0, 0), (1, 0, (r + 1) * M // (2 * r), 0), (1 - q, M // r, 0, 1)]
+    return _residue(q, M, kappa, terms)
 
 
 def zeta_xy_zi(ctx: PadicContext, i: int) -> ZetaRational:
-    """Zeta function of x*y + z^i over Z_p^3."""
+    """Zeta function of x*y + z^i over Z_p^3: (p-1)/p (1 - p^-3 t +
+    (p-1) sum_(2<=j<i) p^-(j+2) t^j) / ((1 - p^-1 t)(1 - p^-(i+1) t^i)),
+    its numerator as integers over p^(i+2)."""
     if i < 2:
         raise ValueError("need i >= 2")
     q = ctx.p
-    coeffs = [Fraction(0)] * i
-    coeffs[0] = Fraction(1)
-    coeffs[1] = Fraction(-1, q**3)
-    for j in range(2, i):
-        coeffs[j] = Fraction(q - 1, q ** (j + 2))
-    num = QPoly(coeffs).scale(Fraction(q - 1, q))
+    nums = [q ** (i + 1), -(q ** (i - 2))] + [(q - 1) * q ** (i - 1 - j) for j in range(2, i)]
+    num = QPoly.from_ints([(q - 1) * c for c in nums], q ** (i + 2))
     return ZetaRational(q, num, {(1, 1): 1, (i, i + 1): 1})
 
 

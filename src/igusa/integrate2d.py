@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from math import gcd
 
@@ -158,25 +158,24 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
     return zeta_sum(p, terms).scale(scale).shift(tshift + w)
 
 
-@cache
-def _torus_zeros(g: MultiPoly, p: int) -> int | None:
-    """The number of zeros of g (coefficients mod p) on (F_p^*)^2, or None
-    if g is zero mod p or one of them is singular.
+def _binomial_zeros(face: dict[tuple[int, int], int], p: int) -> int | None:
+    """The zeros of the binomial {(a, b): c1, (c, d): c2} (units mod p) on
+    (F_p^*)^2, or None if one is singular: (p - 1) h if (-c1/c2)^((p-1)/h) = 1,
+    else none, h = gcd(G, p - 1), G = gcd(c - a, d - b).  x^(c-a) y^(d-b) maps
+    the torus onto the h-th powers, each one (p - 1) h times.  The gradient at
+    a zero is c2 x^c y^d ((c - a)/x, (d - b)/y), so p | G makes each singular."""
+    ((a, b), c1), ((c, d), c2) = face.items()
+    G = gcd(c - a, d - b)
+    h = gcd(G, p - 1)
+    if pow(-c1 * pow(c2, -1, p), (p - 1) // h, p) != 1:
+        return 0
+    return None if G % p == 0 else (p - 1) * h
 
-    A binomial c1 x^a y^b + c2 x^c y^d has (p - 1) h zeros there if
-    (-c1/c2)^((p-1)/h) = 1, else none, h = gcd(G, p - 1), G = gcd(c - a,
-    d - b): x^(c-a) y^(d-b) maps the torus onto the h-th powers, each one
-    (p - 1) h times.  Its gradient at a zero is c2 x^c y^d ((c - a)/x,
-    (d - b)/y), so p | G makes every zero singular.  Longer g are enumerated."""
-    if len(g.terms) <= 1:
-        return 0 if g.terms else None
-    if len(g.terms) == 2:
-        ((a, b), c1), ((c, d), c2) = g.terms.items()
-        G = gcd(c - a, d - b)
-        h = gcd(G, p - 1)
-        if pow(-c1 * pow(c2, -1, p), (p - 1) // h, p) != 1:
-            return 0
-        return None if G % p == 0 else (p - 1) * h
+
+@lru_cache(maxsize=256)
+def _torus_zeros(g: MultiPoly, p: int) -> int | None:
+    """The zeros of g (three or more terms mod p) on (F_p^*)^2, enumerated, or
+    None if one is singular.  Bounded: faces of many f would fill a cache."""
     gx, gy = (g.derivative(name) for name in g.vars)
     zeros = 0
     for pt in product(range(1, p), repeat=2):
@@ -209,7 +208,7 @@ def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> Zet
     there (Denef-Hoornaert, Thm 4.2).  One pass over the dual fan: a 2-cone,
     between adjacent rays, has a vertex v of the polygon as its face, with
     N_tau = 0; a ray has an edge or axis face through v, and {0} f itself.
-    Only these last, with two terms or more, count zeros (`_torus_zeros`).
+    Only these last, with two terms or more, count zeros (`_binomial_zeros`).
     On a cone m(k) = v.k, so (N, nu)(k) = (((A, B) + v).k, (a, b).k), and
     the sum of the p^(-nu(k)) t^N(k) over the cone's interior is that over
     its fundamental parallelepiped (`_parallelepiped`) divided by
@@ -253,7 +252,9 @@ def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> Zet
             u, v = gens[0] if gens else (0, 0)
             points, m = [(u, v)], i * u + j * v
             face = {e: c for e, c0 in f.terms.items() if e[0] * u + e[1] * v == m and (c := c0 % p)}
-            if (n := _torus_zeros(MultiPoly(f.vars, face), p) if len(face) > 1 else 0) is None:
+            n = (0 if len(face) < 2 else _binomial_zeros(face, p) if len(face) == 2
+                 else _torus_zeros(MultiPoly(f.vars, face), p))
+            if n is None:
                 return None
         # the sum of the p^(-nu) t^N as integers over p^E
         P, Q = A + i, B + j

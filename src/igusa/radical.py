@@ -3,10 +3,10 @@
 Elements are represented in the quotient Q[w] / (w^M - p), each by its
 residue: a QPoly in w of degree < M.  For p prime the polynomial w^M - p is
 irreducible over Q (Eisenstein), so the quotient is a field and an element
-is zero exactly when its residue is.  `inverse` is a closed form on integers
-for w^k (a + b w^r), and the cofactor of `qpoly.prs` against w^M - p for the
-rest.  `sign` bounds p^(1/M) by integer Newton iteration from a float
-estimate.
+is zero exactly when its residue is.  `inverse` is the geometric sum
+`geometric` on integers for w^k (a + b w^r), and the cofactor of `qpoly.prs`
+against w^M - p for the rest.  `sign` bounds p^(1/M) by integer Newton
+iteration from a float estimate.
 """
 
 from __future__ import annotations
@@ -36,15 +36,8 @@ class RadicalScalar:
         self.poly = coeffs
 
     @classmethod
-    def from_rational(cls, p: int, r: Fraction | int, M: int = 1) -> "RadicalScalar":
-        return cls(p, M, [r])
-
-    @classmethod
-    def p_power(cls, p: int, r: Fraction | int) -> "RadicalScalar":
-        """Exact p^r for rational r."""
-        r = Fraction(r)
-        q, rem = divmod(r.numerator, r.denominator)  # p^r = p^q w^rem
-        return cls(p, r.denominator, QPoly.monomial(Fraction(p) ** q, rem))
+    def from_rational(cls, p: int, r: Fraction | int) -> "RadicalScalar":
+        return cls(p, 1, [r])
 
     def lifted(self, M: int) -> "RadicalScalar":
         """Rewrite in Q[w']/(w'^M - p) where self.M divides M."""
@@ -92,10 +85,9 @@ class RadicalScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "RadicalScalar":
-        """Field inverse.  One or two terms, w^k (A - B w^r) / D, in closed form:
-        with n = M / gcd(r, M), (A - B w^r) sum_(j<n) A^(n-1-j) B^j w^(rj) is the
-        integer A^n - B^n p^(rn/M), nonzero for p prime.  Three or more terms:
-        the cofactor s of `prs` against w^M - p, with s a = 1 mod w^M - p."""
+        """Field inverse.  One or two terms, w^k (A - B w^r) / D, in closed form
+        (`geometric`, with w^-k = w^(M-k) / p).  Three or more terms: the
+        cofactor s of `prs` against w^M - p, with s a = 1 mod w^M - p."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         nums, M, p = self.poly.nums, self.M, self.p
@@ -108,22 +100,17 @@ class RadicalScalar:
                 raise ArithmeticError("modulus not coprime to element")
             return RadicalScalar(p, M, s)
         r, B = (rest[0] - k, -nums[-1]) if rest else (0, 0)
-        A, n = nums[k], M // gcd(r, M)
-        vec, c = [0] * M, self.poly.den * A ** (n - 1)
-        for j in range(n):
-            e, s = divmod(r * j - k, M)  # w^(rj-k) = p^e w^s, e >= -1
-            vec[s], c = c * p ** (e + 1), c * B // A
-        den = p * (A**n - B**n * p ** (r * n // M))
-        if not den:
+        vec, D = geometric(p, M, r, M - k, nums[k], B)
+        if not D:
             raise ArithmeticError("modulus not coprime to element")
-        return RadicalScalar(p, M, QPoly.from_ints(vec, den))
+        return RadicalScalar(p, M, QPoly.from_ints([self.poly.den * c for c in vec], p * D))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = RadicalScalar.from_rational(self.p, other, 1)
+            other = RadicalScalar.from_rational(self.p, other)
         if not isinstance(other, RadicalScalar):
             return NotImplemented
         a, b = self._common(other)
@@ -183,6 +170,22 @@ class RadicalScalar:
             else:
                 terms.append(f"{c}*{self.p}^({i}/{self.M})")
         return " + ".join(terms)
+
+
+def geometric(p: int, M: int, r: int, k: int, A: int, B: int) -> tuple[list[int], int]:
+    """(vec, D) with w^k / (A - B w^r) = sum vec[s] w^s / D in Q[w]/(w^M - p),
+    for integers A != 0, 0 <= r <= M and k >= 0: with n = M / gcd(r, M), the
+    geometric sum (A - B w^r) sum_(j<n) A^(n-1-j) B^j w^(rj) is the integer
+    D = A^n - B^n p^(rn/M).  D = 0 means A - B w^r is zero."""
+    n = M // gcd(r, M)
+    e, s = divmod(k, M)
+    vec, c = [0] * M, A ** (n - 1) * p**e
+    for _ in range(n):  # c w^s = A^(n-1-j) B^j w^(rj+k); the s are distinct
+        vec[s], c = c, c * B // A
+        s += r
+        if s >= M:
+            s, c = s - M, c * p
+    return vec, A**n - B**n * p ** (r * n // M)
 
 
 def _root_bounds(p: int, M: int, bits: int) -> tuple[int, int]:

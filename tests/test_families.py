@@ -140,6 +140,38 @@ def test_residue_json_golden(case, p, a):
     assert digest == GOLDEN_RESIDUES[case, p, a]
 
 
+# SHA-256 of the list of [to_json(), value.sign()] of the odd residues for
+# r = 1..16 with p | a, recorded before the closed form on integers: the
+# factor |a|^(-1/(2r+1)) = w^(2 v_p(a)) shifts every term, and the terms
+# near w^(M-1) wrap past w^M = p
+GOLDEN_SCALED_RESIDUES = {
+    (2, 2): "752607395bcc617b27e35256dc24d79894a08324415c13521d942e0514f6012b",
+    (2, -4): "6fefa7456388477ce115911d5e80a436395671919676b94ac564d8f075fb9509",
+    (3, 3): "447543a7d01b5f9d0cf44dd1eba0c6626420b6bd389ccdb7e4e11cc3fef52352",
+    (3, -9): "7842abb7298d471d1f6549f4f493129c71c95583b76efd05a5645b9fcc430864",
+    (5, 5): "1ddfb93dade2024464cb624e45c0527de52a5009c6e77686979a7849c9f92180",
+    (5, -25): "bb82fdaf15740a4c1dbe3a56d96150fd0746024c36cb22aca7833d2c542b8e61",
+}
+
+
+@pytest.mark.parametrize("p, a", sorted(GOLDEN_SCALED_RESIDUES))
+def test_residue_json_golden_scaled(p, a):
+    recs = []
+    for r in range(1, 17):
+        res = residue_x2_ayl_odd(PadicContext(p, 2), a, r)
+        recs.append([res.to_json(), res.value.sign()])
+    digest = hashlib.sha256(json.dumps(recs, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_SCALED_RESIDUES[p, a]
+
+
+@pytest.mark.parametrize("family", [residue_x2_ayl_odd, residue_x2_ayl_even])
+@pytest.mark.parametrize("r", [0, -1])
+def test_residue_families_reject_small_r(family, r):
+    # r = 0 gave a zero odd "residue" and r = -1 a nonzero one
+    with pytest.raises(ValueError, match="need r >= 1"):
+        family(PadicContext(3, 2), 1, r)
+
+
 def test_x2_ayl_l2_reduces_to_sum_squares():
     ctx = PadicContext(3, 2)
     parts, residue, z = zeta_x2_ayl(ctx, 1, 2)
@@ -176,6 +208,23 @@ def test_xy_zi_formula_i3():
     assert dict(z.denominator) == {(1, 1): 1, (3, 4): 1}
     ok, _, _ = verify_zeta_against_counts(z, parse_poly("x*y+z^3"), 4)
     assert ok
+
+
+# SHA-256 of the list of to_json() of zeta_xy_zi for i = 2..20
+GOLDEN_XY_ZI = {
+    2: "abf11e4c7efcb321f6dba968a0428a2d8ed63a97f1d7ffffb9ed758199206575",
+    3: "146d5547e15d5e434332f5bb990d01621ee3d67ffe4eebe6cb9e7ab04e98e87c",
+    5: "2e9a3a97243560aa6b64810bff27227ea1580a981b83c817f0ba9c6eb9dbda38",
+    7: "2ebfc587d468730d5c6f8ad486cc25387d5ef6c5012fa018d2cf8981cece6b97",
+    11: "a79f8b3fabd380df931973238cca95033149ef243f2abbae3753d8d6b8b1285c",
+}
+
+
+@pytest.mark.parametrize("p", sorted(GOLDEN_XY_ZI))
+def test_xy_zi_json_golden(p):
+    recs = [zeta_xy_zi(PadicContext(p, 3), i).to_json() for i in range(2, 21)]
+    digest = hashlib.sha256(json.dumps(recs, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_XY_ZI[p]
 
 
 def test_xy_zi_real_poles():
