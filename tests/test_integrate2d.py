@@ -76,6 +76,42 @@ def test_json_golden(text, p, digest):
     assert _digest(z.to_json()) == digest
 
 
+def _random_terms(rng, count):
+    """count term dicts of 2-4 terms, exponents <= 4, coefficients in +-1..3,
+    no constant term."""
+    out = []
+    while len(out) < count:
+        terms = {(rng.randint(0, 4), rng.randint(0, 4)): rng.choice([-3, -2, -1, 1, 2, 3])
+                 for _ in range(rng.randint(2, 4))}
+        terms.pop((0, 0), None)
+        if len(terms) >= 2:
+            out.append(terms)
+    return out
+
+
+NAMED_GERMS = ["y^2-x^3", "y^2-x^5", "x^2+y^3", "x^2+y^4", "x^2+y^5", "x^2+y^6", "x^2+y^7",
+               "x*y*(x+y)+x^4", "x^2+y^2", "y^2-x^7", "y^5+x^3*y^2+x^8"]
+
+
+def test_descent_corpus_json_golden():
+    # one digest over the sorted-key JSON of Z for 150 random f at p = 2, 3
+    # and the named germs at p = 2, 3, 5, each in the orders (x, y) and
+    # (y, x); recorded before the descent summed its terms as integer triples
+    def digest(polys, primes):
+        h = hashlib.sha256()
+        for f in polys:
+            for p in primes:
+                h.update(json.dumps(zeta_two_var(f, PadicContext(p, 2)).to_json(), sort_keys=True).encode())
+        return h.hexdigest()
+
+    randoms = [MultiPoly(names, {e[::step]: c for e, c in terms.items()})
+               for terms in _random_terms(random.Random(7), 150)
+               for names, step in ((("x", "y"), 1), (("y", "x"), -1))]
+    named = [parse_poly(text, vars=order) for text in NAMED_GERMS for order in (("x", "y"), ("y", "x"))]
+    assert digest(randoms, (2, 3)) == "b1ed1e6aa78cf2e2fd7935741acd154cfc0a455a08e0ea3a411e89b9138a4f86"
+    assert digest(named, (2, 3, 5)) == "fa347c0e2a0dd5d0ae78333a5da580aee19720041655124e8f85ff1c21c58884"
+
+
 @pytest.mark.parametrize("p, digest", GOLDEN_SUM_SQUARES, ids=[str(p) for p, _ in GOLDEN_SUM_SQUARES])
 def test_sum_squares_json_golden(p, digest):
     z, _ = zeta_sum_squares(PadicContext(p, 2))
