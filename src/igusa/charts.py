@@ -9,7 +9,7 @@ from fractions import Fraction
 from .context import PadicContext
 from .integrate2d import _W
 from .poly import MultiPoly, is_squarefree
-from .zeta import ZetaRational, one_var_integral, zeta_sum
+from .zeta import ZetaRational, measure_term, zeta_sum
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,9 @@ def zeta_from_charts(
     pieces = []
     for cell in cells:
         # an unweighted coordinate is (N, nu) = (0, 1): its measure p^-j
-        piece = ZetaRational.const(p, Fraction(1, p**cell.ord_eta)).shift(cell.ord_eps)
-        for j, (N, nu) in zip(cell.box, cell.monomials + ((0, 1),) * (cell.n - cell.k)):
-            piece = piece * one_var_integral(p, j, N, nu)
-        pieces.append(piece)
+        monomials = cell.monomials + ((0, 1),) * (cell.n - cell.k)
+        cs, d, den = measure_term(p, 1, p**cell.ord_eta, *((j, *m) for j, m in zip(cell.box, monomials)))
+        pieces.append(([0] * cell.ord_eps + cs, d, den))
         measure += Fraction(1, p ** sum(cell.box))
     if measure != 1:
         warnings.warn(

@@ -23,6 +23,7 @@ does not count never loads it.
 
 from __future__ import annotations
 
+from .context import vp
 from .poly import MultiPoly
 from .zeta import PoincareSeries, ZetaRational, poincare_from_zeta
 
@@ -82,17 +83,21 @@ def _zeros(f: MultiPoly, pts, m: int):
 
 
 def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
-    """The counts M_0..M_imax of one Hensel pass.  Level 1 enumerates the digit
-    vectors, counts the smooth zeros in closed form and keeps the singular
-    ones that are zeros mod p^2: the survivors of level 2.  A survivor a of
-    level j, a zero mod p^j given mod p^(j-1), adds p^n to M_j, and level
-    j + 1 keeps its lifts a + p^(j-1) d that are zeros mod p^(j+1).  A last
-    level imax >= 4 is counted by Taylor's formula (module docstring)."""
+    """The counts M_0..M_imax of one Hensel pass.  For f = p^w g, g free of
+    content, M_i(f) = p^(n i) for i <= w, else p^(n w) M_(i-w)(g): the pass
+    runs on g, naming f's levels.  Level 1 enumerates the digit vectors,
+    counts the smooth zeros in closed form and keeps the singular ones that
+    are zeros mod p^2: the survivors of level 2.  A survivor a of level j, a
+    zero mod p^j given mod p^(j-1), adds p^n to M_j, and level j + 1 keeps
+    its lifts a + p^(j-1) d that are zeros mod p^(j+1).  A last level
+    imax >= 4 is counted by Taylor's formula (module docstring)."""
     if imax < 0:
         raise ValueError(f"level {imax} < 0")
     n, q = f.nvars, p**f.nvars
+    w = min([imax, *(vp(c, p) for c in f.terms.values())]) if f.terms else 0
+    f, imax = MultiPoly(f.vars, {e: c // p**w for e, c in f.terms.items()}), imax - w
     if imax == 0:
-        return PoincareSeries(p, n, [1])
+        return PoincareSeries(p, n, [q**i for i in range(w + 1)])
     import numpy as np
 
     dtype = np.int64 if p**imax <= 2**31 else object
@@ -143,11 +148,11 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
             # level j + 2 may build too many lifts: count them before building j + 1
             lifts_next = taylor_survivors(pts, j) * q
             if lifts_next > NAIVE_BUDGET:
-                raise ValueError(f"level {j + 2}: {lifts_next} lifts exceed budget {NAIVE_BUDGET}")
+                raise ValueError(f"level {j + 2 + w}: {lifts_next} lifts exceed budget {NAIVE_BUDGET}")
         if len(pts) * q > NAIVE_BUDGET:
-            raise ValueError(f"level {j + 1}: {len(pts) * q} lifts exceed budget {NAIVE_BUDGET}")
+            raise ValueError(f"level {j + 1 + w}: {len(pts) * q} lifts exceed budget {NAIVE_BUDGET}")
         pts = np.concatenate([_zeros(f, b, p ** (j + 1)) for b in lifts(pts, p ** (j - 1))])
-    return PoincareSeries(p, n, counts)
+    return PoincareSeries(p, n, [q**i for i in range(w)] + [q**w * m for m in counts])
 
 
 def verify_zeta_against_counts(

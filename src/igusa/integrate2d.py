@@ -11,24 +11,21 @@ measures `one_var_integral(p, j, N, nu)`, each kind being its key
 a unit class, (1, A, a) the class at 0, (1, 1, 1) a smooth lift.  Any
 other class is a subproblem, reached by one affine substitution
 (`MultiPoly.subs`) or, at the origin, by the blowup charts.  Equal
-subproblems run once, scaled by their count.  `charts.integrate_univariate`
-runs the same descent on f free of y.
+subproblems run once.  `charts.integrate_univariate` runs the same descent
+on f free of y.  A call is one `zeta_sum` of integer triples (cs, d, den),
+cs over d over the factor multiset den: n classes of a kind make one
+monomial over at most two binomials (`measure_term`), n subproblems with scale
+p^-k make cs n over d p^k, and the call's own scale and shift are applied
+when they are not 1.
 
-The scan starts at the origin.  At the first class that descends (the
-origin, if it descends at all) the call tries the Newton closure
-(`_newton_closure`) once, before it builds that class's subproblem (at the
-origin, two blowup charts) or scans the other classes.  It closes the call
-in one step when f is non-degenerate mod p with respect to its Newton
-polygon: no face polynomial (f, f(0, y), f(x, 0), each compact edge and
-each vertex) has a singular zero on (F_p^*)^2.  W is then one pass over the
-dual fan of the polygon, whose rays carry the numerical data (N, nu) of
-the edges (Denef-Hoornaert, J. Number Theory 89 (2001)): one term per cone,
-from its vertex and its lattice points in O(det), and one `zeta_sum`.  A
-call whose classes all close never tries it: the scan's Z lacks the
-closure's factors ((2, 3) for y - x^2, a smooth origin).  The closure
-declines a degenerate f and an edge whose (N, nu) has a common divisor:
-`reduced` cancels only whole binomials, so that binomial would stand in the
-JSON where the descent's smaller factors cancel.  Declined calls descend.
+At the first class that descends (the origin, if it descends at all) the
+call tries the Newton closure (`_newton_closure`) once, before it builds
+that class's subproblem or scans the other classes.  It closes the call
+when f is non-degenerate mod p with respect to its Newton polygon: one
+triple per cone of the dual fan (Denef-Hoornaert, J. Number Theory 89
+(2001)).  A call whose classes all close never tries it: the scan's Z
+lacks the closure's factors ((2, 3) for y - x^2, a smooth origin).
+Declined calls descend.
 
 A crossing class (c, 0) of a weighted y axis, where f = 0 and f_y != 0
 mod p and x runs over c + pZ_p unweighted, closes in one step.  For each
@@ -46,7 +43,6 @@ weighted x axis is the same with x and y swapped.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
 from math import gcd
@@ -54,13 +50,9 @@ from math import gcd
 from .context import PadicContext, vp
 from .poly import MultiPoly, blowup_chart_a
 from .qpoly import QPoly, convolve
-from .zeta import ZetaRational, one_var_integral, zeta_sum
+from .zeta import ZetaRational, measure_term, zeta_sum
 
 MAX_DEPTH = 200
-
-
-# built once per process and shared: ZetaRational operations return new objects
-_measure = cache(one_var_integral)
 UNIT, LIFT = (1, 0, 1), (1, 1, 1)
 
 
@@ -70,34 +62,32 @@ def zeta_two_var(f: MultiPoly, ctx: PadicContext) -> ZetaRational:
         raise ValueError("two variables required")
     if f.is_zero():
         raise ValueError("f must be nonzero")
-    z = _W(f, ctx.p, 0, 1, 0, 1, 0, 0, 0)
-    return z.reduced()
+    return _W(f, ctx.p, 0, 1, 0, 1, 0, 0, 0).reduced()
 
 
 @cache
 def _beta(p: int, B: int, b: int) -> ZetaRational:
-    return zeta_sum(p, [_measure(p, 0, 0, 1), _measure(p, *UNIT).scale(-2), _measure(p, *LIFT),
-                        _measure(p, 1, B, b), _measure(p, 0, B + 1, b).scale(-1)])
+    keys = [(1, (0, 0, 1)), (-2, UNIT), (1, LIFT), (1, (1, B, b)), (-1, (0, B + 1, b))]
+    return zeta_sum(p, [measure_term(p, n, 1, key) for n, key in keys])
 
 
-def _crossing(p: int, B: int, b: int, z: ZetaRational) -> ZetaRational:
-    """alpha + beta z(lam) for a crossing of the weighted axis (B, b)."""
-    return zeta_sum(p, [_measure(p, 1, B + 1, b), _beta(p, B, b) * z.substitute(B + 1, b)])
+def _scaled(z: ZetaRational, E: int, k: int) -> ZetaRational:
+    """z p^(-E) t^k, one normalisation."""
+    cs, d = z.numerator.to_ints()
+    return ZetaRational._of(z.p, QPoly.from_ints([0] * k + list(cs), d * z.p**E), z.denominator) if E or k else z
 
 
 def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, depth: int) -> ZetaRational:
     if depth > MAX_DEPTH:
         raise ArithmeticError("integration recursion depth exceeded")
     xn, yn = f.vars
-    tshift = j1 * A + j2 * B
-    scale = Fraction(1, p ** (j1 * a + j2 * b))
+    tshift, E = j1 * A + j2 * B, j1 * a + j2 * b
     if j1 or j2:
         f = f.subs({xn: (0, p**j1), yn: (0, p**j2)})
     # divide out the content p^w (a factor t^w) and the axis factor
     # x^ex y^ey (absorbed into the weights)
     w = min(vp(c, p) for c in f.terms.values())
-    ex = min(i for i, _ in f.terms)
-    ey = min(j for _, j in f.terms)
+    ex, ey = (min(e[i] for e in f.terms) for i in (0, 1))
     if w or ex or ey:
         f = MultiPoly(f.vars, {(i - ex, j - ey): c // p**w for (i, j), c in f.terms.items()})
     A, B = A + ex, B + ey
@@ -107,8 +97,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
     # arguments of the recursive call, the k of its scale p^-k and the
     # weighted axis it crosses, if any.  None is a whole free axis.  A
     # coordinate runs over c + pZ_p without weight iff its key is UNIT.
-    factors: Counter = Counter()
-    subproblems: Counter = Counter()
+    factors, subproblems = Counter(), Counter()
     for c in range(p) if fx.terms else [None]:
         for d in range(p) if fy.terms else [None]:
             kx = (0, A, a) if c is None else UNIT if c else (1, A, a)
@@ -128,7 +117,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
             # the first class that descends asks the closure, before its
             # subproblem (at the origin, two blowup charts) is built
             if not subproblems and (z := _newton_closure(f, p, A, a, B, b)) is not None:
-                return z.scale(scale).shift(tshift + w)
+                return _scaled(z, E, tshift + w)
             if sy and ux:  # crossing of the weighted y axis: h'(x) = f(c + p x, 0)
                 subproblems[f.subs({xn: (c, p), yn: (0, 0)}), 0, 1, 0, 1, 0, 0, 1, (B, b)] += 1
             elif sx and uy:
@@ -139,8 +128,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 # origin class with f(0, 0) != 0 is no singular point to blow
                 # up: rescaling x, y by p removes a factor p from f(0, 0).
                 g = f.subs({name: (v, p) for name, v in ((xn, c), (yn, d)) if v})
-                wx = (0, 1) if c else (A, a)
-                wy = (0, 1) if d else (B, b)
+                wx, wy = (0, 1) if c else (A, a), (0, 1) if d else (B, b)
                 subproblems[g, *wx, *wy, int(c == 0), int(d == 0), bool(c) + bool(d), None] += 1
             else:
                 # origin: blow up.  Chart x = u, y = u v covers |y| <= |x|,
@@ -149,13 +137,18 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 gb, _ = blowup_chart_a(f, yn, xn)
                 subproblems[ga, A + B + mu, a + b, B, b, 1, 0, 0, None] += 1
                 subproblems[gb, A, a, A + B + mu, a + b, 1, 1, 0, None] += 1
-    terms = [(_measure(p, *kx) * _measure(p, *ky)).scale(n) for (kx, ky), n in factors.items()]
-    # equal arguments from different kinds of class run once
-    W = cache(lambda g, *args: _W(g, p, *args, depth + 1))
+    terms = [measure_term(p, n, 1, *keys) for keys, n in factors.items()]
+    done: dict = {}  # equal arguments from different kinds of class run once
     for (g, *args, k, cross), n in subproblems.items():
-        z = W(g, *args)
-        terms.append((_crossing(p, *cross, z) if cross else z).scale(Fraction(n, p**k)))
-    return zeta_sum(p, terms).scale(scale).shift(tshift + w)
+        if (key := (g, *args)) not in done:
+            done[key] = _W(g, p, *args, depth + 1)
+        z = done[key]
+        if cross:  # alpha + beta z(lam), lam = p^(-b) t^(B + 1), (B, b) = cross
+            terms.append(measure_term(p, n, p**k, (1, cross[0] + 1, cross[1])))
+            z = _beta(p, *cross) * z.substitute(cross[0] + 1, cross[1])
+        cs, d = z.numerator.to_ints()
+        terms.append(([n * c for c in cs], d * p**k, z.denominator))
+    return _scaled(zeta_sum(p, terms), E, tshift + w)
 
 
 def _binomial_zeros(face: dict[tuple[int, int], int], p: int) -> int | None:
@@ -263,19 +256,19 @@ def _newton_closure(f: MultiPoly, p: int, A: int, a: int, B: int, b: int) -> Zet
         cs, d = [0] * (max(N for N, _ in pts) + 1), p**E
         for N, nu in pts:
             cs[N] += p ** (E - nu)
-        den: Counter = Counter()
+        den: dict = {}
         for u, v in gens:
             N, nu = P * u + Q * v, a * u + b * v
             if N:
-                den[N, nu] += 1
+                den[N, nu] = den.get((N, nu), 0) + 1
             else:  # the constant 1 / (1 - p^-nu)
                 cs, d = [c * p**nu for c in cs], d * (p**nu - 1)
         # times J_tau: [p (sq - n), n p - sq] / p^3 over the factor (1, 1)
         # of UNIT LIFT, sq = (p - 1)^2, the constant sq / p^2 when n = 0
         if n:
             cs, d = convolve(cs, [p * (sq - n), n * p - sq]), d * p**3
-            den[1, 1] += 1
+            den[1, 1] = den.get((1, 1), 0) + 1
         else:
             cs, d = [sq * c for c in cs], d * p * p
-        terms.append(ZetaRational._of(p, QPoly.from_ints(cs, d), den))
+        terms.append((cs, d, den))
     return zeta_sum(p, terms)

@@ -4,13 +4,13 @@ A ZetaRational stores an exact numerator N(t) over Q and a multiset of
 denominator factors (1 - p^(-nu) t^N), keeping the factorization so that
 candidate poles stay readable and Laurent expansions are cheap.
 
-A QPoly numerator already is integer coefficients over one denominator,
-which sums and cancellations read with `QPoly.to_ints`: multiplying by a
-factor is an O(deg) integer update (`times_binomials`), dividing by it
-exact top-down integer division (`divide_binomial`).  `zeta_sum` is the
-one sum, over the union of the terms' factor multisets; `reduced` cancels
-in descending (N, nu) order, so a reduced Z and its JSON depend only on
-the numerator and the factor multiset, not on the order of the sums.
+Sums and cancellations run on integers.  `zeta_sum` is the one sum, of
+terms (cs, d, den), cs over d over a factor multiset den, over the union of
+the multisets: each cs is lifted by the factors its term lacks, an O(deg)
+integer update per factor (`times_binomials`).  `reduced` cancels by exact
+top-down integer division (`divide_binomial`) in descending (N, nu) order,
+so a reduced Z and its JSON depend only on the numerator and the factor
+multiset, not on the order of the sums.
 
 Near a candidate pole s0, t = t0 exp(-U) with t0 = p^(-s0) and
 U = (s - s0) log p, so a polynomial sum c_i t^i has the closed-form
@@ -41,13 +41,8 @@ from .radical import RadicalScalar, ResidueValue
 
 
 class ZetaRational:
-    """N(t) / prod (1 - p^(-nu) t^N)^mult, exact over Q.
-
-    `+` is `zeta_sum` of two terms: both numerators are lifted to the
-    union of the denominator multisets and added as integer lists.
-    `reduced` cancels factors by exact integer division, in descending
-    (N, nu) order.  Neither leaves the integers.
-    """
+    """N(t) / prod (1 - p^(-nu) t^N)^mult, exact over Q; `+` and `reduced`
+    stay on integers (module docstring)."""
 
     __slots__ = ("p", "numerator", "denominator")
 
@@ -95,7 +90,9 @@ class ZetaRational:
         return ZetaRational(self.p, QPoly.from_ints(out, d * self.p ** (nu0 * n)), den)
 
     def __add__(self, other: "ZetaRational") -> "ZetaRational":
-        return zeta_sum(self.p, (self, other))
+        if other.p != self.p:
+            raise ValueError("mixed primes")
+        return zeta_sum(self.p, [(*z.numerator.to_ints(), z.denominator) for z in (self, other)])
 
     def __mul__(self, other: "ZetaRational") -> "ZetaRational":
         if other.p != self.p:
@@ -208,39 +205,47 @@ def times_binomials(cs: list[int], d: int, p: int, factors) -> tuple[list[int], 
 
 
 def zeta_sum(p: int, terms) -> ZetaRational:
-    """The sum of a sequence of ZetaRationals at p over one denominator: for
-    each factor the largest multiplicity any term has.  Each numerator is
-    lifted to it once (`times_binomials`, by the factors it lacks) and the
-    integer lists are added once, so the factor multiset does not depend on
-    the order of the terms.  The union and the lacking factors are plain
-    dict updates: Counter's `|` and `-` rebuild a Counter per term."""
-    if any(z.p != p for z in terms):
-        raise ValueError("mixed primes")
+    """The sum at p of the terms (cs, d, den): cs over d over the factor
+    multiset den {(N, nu): m}, a ZetaRational z as (*z.numerator.to_ints(),
+    z.denominator).  The sum's multiset takes each factor's largest
+    multiplicity, so it does not depend on the order of the terms; each cs
+    is lifted to it once and the lists are added over the lcm of the d."""
     den: Counter = Counter()
-    for z in terms:
-        for key, m in z.denominator.items():
+    for _, _, fac in terms:
+        for key, m in fac.items():
             if m > den.get(key, 0):
                 den[key] = m
-    lifted = [times_binomials(*z.numerator.to_ints(), p,
-                              {key: m - k for key, m in den.items() if m > (k := z.denominator.get(key, 0))})
-              for z in terms]
+    lifted = [times_binomials(cs, d, p, {key: m - k for key, m in den.items() if m > (k := fac.get(key, 0))})
+              for cs, d, fac in terms]
     D = lcm(*(d for _, d in lifted))
-    scaled = ([D // d * c for c in cs] for cs, d in lifted)
+    scaled = ([k * c for c in cs] for cs, d in lifted for k in [D // d])
     total = [sum(col) for col in zip_longest(*scaled, fillvalue=0)]
     return ZetaRational._of(p, QPoly.from_ints(total, D), den)
+
+
+def measure_term(p: int, n: int, d: int, *keys: tuple[int, int, int]) -> tuple[list[int], int, dict]:
+    """n/d times the product of the `one_var_integral(p, *key)` over the keys
+    (j, N, nu), as a `zeta_sum` term: one coefficient times t^(sum j N) over
+    the binomials (N, nu), N > 0.  The one per-coordinate measure: the
+    descent's closed classes, its crossings and the charts all read it."""
+    e, den = 0, {}
+    for j, N, nu in keys:
+        if N:
+            n, d, e = n * (p - 1), d * p ** (1 + j * nu), e + j * N
+            den[N, nu] = den.get((N, nu), 0) + 1
+        else:
+            n, d = n * (p - 1) * p ** (nu - 1), d * p ** (j * nu) * (p**nu - 1)
+    return [0] * e + [n], d, den
 
 
 def one_var_integral(p: int, j: int, N: int, nu: int) -> ZetaRational:
     """Integral of |x|^(N s + nu - 1) over p^j Z_p, N >= 0, as an element of
     Q(t): (1 - 1/p) p^(-j nu) t^(j N) / (1 - p^(-nu) t^N), a constant at
-    N = 0 (p^(-j) at nu = 1).  The one per-coordinate measure: the descent's
-    closed classes, its crossing rule and the chart formula all read it."""
+    N = 0 (p^(-j) at nu = 1): the `measure_term` of (j, N, nu)."""
     if N < 0 or nu < 1:
         raise ValueError("need N >= 0 and nu >= 1")
-    if N == 0:
-        return ZetaRational.const(p, Fraction((p - 1) * p ** (nu - 1), p ** (j * nu) * (p**nu - 1)))
-    num = QPoly.monomial(Fraction(p - 1, p) * Fraction(1, p ** (j * nu)), j * N)
-    return ZetaRational(p, num, {(N, nu): 1})
+    cs, d, den = measure_term(p, 1, 1, (j, N, nu))
+    return ZetaRational._of(p, QPoly.from_ints(cs, d), Counter(den))
 
 
 def eval_at_one(z: ZetaRational) -> Fraction:

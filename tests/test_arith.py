@@ -6,10 +6,11 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from igusa.context import PadicContext, vp
 from igusa.families import residue_x2_ayl_odd
@@ -484,6 +485,11 @@ def test_reduced_ignores_factor_insertion_order():
         assert ZetaRational(2, num, den).reduced().to_json() == want
 
 
+def _sum(p, terms):
+    """zeta_sum of ZetaRationals, each as its (cs, d, den) triple."""
+    return zeta_sum(p, [(*z.numerator.to_ints(), z.denominator) for z in terms])
+
+
 @st.composite
 def _zeta_terms(draw):
     """Products of one_var_integral factors at p = 2 or 3, some times one
@@ -501,11 +507,47 @@ def _zeta_terms(draw):
     return p, terms
 
 
+_TRIPLE = st.tuples(
+    st.lists(st.integers(-30, 30), max_size=5),
+    st.integers(1, 60),
+    st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), st.integers(1, 3), max_size=3),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 5]), st.lists(_TRIPLE, min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+@example(2, [([1, 2], 3, {}), ([0, 1], 1, {(1, 1): 2}), ([5], 4, {(1, 1): 1, (2, 1): 3})], Random(0))
+def test_zeta_sum_of_integer_triples(p, terms, rnd):
+    # the one integer sum against Fractions, term by term, at t with |t| < 1
+    # (no factor 1 - p^(-nu) t^N vanishes there); in any order; and `+`
+    total = zeta_sum(p, terms)
+    for t in (Fraction(0), Fraction(1, 7), Fraction(-2, 5), Fraction(3, 4)):
+        want = Fraction(0)
+        for cs, d, den in terms:
+            value = Fraction(sum(c * t**i for i, c in enumerate(cs)), d)
+            for (N, nu), m in den.items():
+                value /= (1 - t**N / p**nu) ** m
+            want += value
+        got = Fraction(sum(c * t**i for i, c in enumerate(total.numerator.nums)), total.numerator.den)
+        for (N, nu), m in total.denominator.items():
+            got /= (1 - t**N / p**nu) ** m
+        assert got == want
+    want = json.dumps(total.to_json())
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    assert json.dumps(zeta_sum(p, shuffled).to_json()) == want
+    pairwise = ZetaRational.zero(p)
+    for cs, d, den in shuffled:
+        pairwise = pairwise + ZetaRational(p, QPoly.from_ints(cs, d), den)
+    assert json.dumps(pairwise.to_json()) == want
+
+
 @settings(max_examples=300)
 @given(_zeta_terms(), st.randoms(use_true_random=False))
 def test_reduced_json_ignores_summation_order(case, rnd):
     p, terms = case
-    total = zeta_sum(p, terms)
+    total = _sum(p, terms)
     want = json.dumps(total.reduced().to_json())
     rnd.shuffle(terms)
     pairwise = terms[0]
@@ -513,7 +555,7 @@ def test_reduced_json_ignores_summation_order(case, rnd):
         pairwise = pairwise + z
     factors = list(total.denominator.items())
     rnd.shuffle(factors)
-    for z in (zeta_sum(p, terms), pairwise, ZetaRational(p, total.numerator, dict(factors))):
+    for z in (_sum(p, terms), pairwise, ZetaRational(p, total.numerator, dict(factors))):
         assert json.dumps(z.reduced().to_json()) == want
 
 
@@ -522,7 +564,7 @@ def test_reduced_json_ignores_summation_order(case, rnd):
 def test_multiplicity_counts_candidate_poles(case, s0):
     # the integer count of factors with -nu/N = s0, and candidate_poles
     # built from it, against one Fraction per factor
-    z = zeta_sum(*case)
+    z = _sum(*case)
     ref = Counter()
     for (N, nu), m in z.denominator.items():
         ref[Fraction(-nu, N)] += m
@@ -537,7 +579,7 @@ def test_substitute_moves_each_series_term(case, N0, nu0):
     # Z(p^(-nu0) t^N0): the coefficient of t^i moves to t^(N0 i) times
     # p^(-nu0 i), and each factor (N, nu) becomes (N N0, nu + nu0 N)
     p, terms = case
-    z = zeta_sum(p, terms)
+    z = _sum(p, terms)
     sub = z.substitute(N0, nu0)
     K = 6
     want = [Fraction(0)] * (N0 * K + 1)
@@ -553,12 +595,12 @@ def test_operations_leave_their_operands_unchanged(case, N0, nu0):
     # the descent shares each one_var_integral value across calls, which is
     # safe only while no operation mutates an operand
     p, terms = case
-    total = zeta_sum(p, terms)
+    total = _sum(p, terms)
     operands = [*terms, total, total * terms[0], one_var_integral(p, 1, 0, 1)]
     before = [json.dumps(z.to_json()) for z in operands]
     for a, b in itertools.product(operands, repeat=2):
         a + b, a * b
-    zeta_sum(p, operands)
+    _sum(p, operands)
     for z in operands:
         z.scale(Fraction(-2, 3)), z.shift(2), z.substitute(N0, nu0), z.reduced()
         eval_at_one(z), series_coeffs(z, 6)

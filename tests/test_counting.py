@@ -242,3 +242,34 @@ def test_hensel_refuses_before_building_the_level_below(monkeypatch):
     with pytest.raises(ValueError, match=r"^level 7: 2254037191 lifts exceed budget 100000000$"):
         poincare_truncation(parse_poly("x*y+z^2"), 7, 8)
     assert max(moduli) == 7**5
+
+
+def test_hensel_divides_out_the_content():
+    # f = p^w g: levels up to w count every point, the rest p^(n w) times
+    # g's counts.  A constant 2^30 kept 8^8 rows of survivors (899 MB)
+    f = MultiPoly(("x", "y", "z"), {(0, 0, 0): 2**30})
+    tracemalloc.start()
+    try:
+        counts = poincare_truncation(f, 2, 10).counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [8**i for i in range(11)]
+    assert peak < 8 * 10**6
+    assert poincare_truncation(MultiPoly(("x", "y"), {(0, 0): 12}), 2, 5).counts() == [1, 4, 16, 0, 0, 0]
+
+
+@settings(max_examples=100)
+@given(_deep_cases(), st.integers(0, 2))
+def test_hensel_with_content_matches_lifting_every_digit_vector(case, w):
+    f, p = case
+    f = MultiPoly(f.vars, {e: c * p**w for e, c in f.terms.items()})
+    k = 6 if f.nvars == 2 else 4
+    assert poincare_truncation(f, p, k).counts() == _lift_every_digit_vector(f, p, k), (f, p, w)
+
+
+def test_hensel_refusal_names_the_level_of_f(monkeypatch):
+    # 9 (x*y+z^2) at p = 3 refuses g's level 5 as f's level 7
+    monkeypatch.setattr(counting, "NAIVE_BUDGET", 1000)
+    with pytest.raises(ValueError, match=r"^level 7: 2673 lifts exceed budget 1000$"):
+        poincare_truncation(parse_poly("9*x*y+9*z^2"), 3, 8)
