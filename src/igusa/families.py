@@ -125,9 +125,12 @@ def theorem_membership(s0: Fraction, n: int) -> bool:
     """Whether s0 is allowed as the real part of a pole in dimension n:
     values below the threshold must be threshold - 1/i for an integer i > 1."""
     s0 = Fraction(s0)
-    if n not in (2, 3):
+    if n == 2:
+        thr = Fraction(-1, 2)
+    elif n == 3:
+        thr = Fraction(-1)
+    else:
         raise ValueError("n must be 2 or 3")
-    thr = Fraction(-1, 2) if n == 2 else Fraction(-1)
     if s0 >= thr:
         return True
     gap = thr - s0  # must be 1/i, i integer > 1

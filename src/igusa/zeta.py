@@ -4,13 +4,12 @@ A ZetaRational stores an exact numerator N(t) over Q and a multiset of
 denominator factors (1 - p^(-nu) t^N), keeping the factorization so that
 candidate poles stay readable and Laurent expansions are cheap.
 
-Sums and cancellations run on integers.  `zeta_sum` is the one sum, of
-terms (cs, d, den), cs over d over a factor multiset den, over the union of
-the multisets: each cs is lifted by the factors its term lacks, an O(deg)
-integer update per factor (`times_binomials`).  `reduced` cancels by exact
-top-down integer division (`divide_binomial`) in descending (N, nu) order,
-so a reduced Z and its JSON depend only on the numerator and the factor
-multiset, not on the order of the sums.
+Sums and cancellations run on integers.  `zeta_sum`, the one sum, adds
+terms (cs, d, den), cs over d over a factor multiset den, over the union
+of the multisets, lifting each cs by the factors its term lacks
+(`times_binomials`, O(deg) per factor).  `reduced` cancels by exact integer
+division (`divide_binomial`) in descending (N, nu) order, so a reduced Z
+and its JSON depend only on the numerator and the factor multiset.
 
 Near a candidate pole s0, t = t0 exp(-U) with t0 = p^(-s0) and
 U = (s - s0) log p, so a polynomial sum c_i t^i has the closed-form
@@ -111,7 +110,7 @@ class ZetaRational:
             while den[key] and (q := divide_binomial(cs, self.p, *key)) is not None:
                 cs = q
                 den[key] -= 1
-        return ZetaRational._of(self.p, QPoly.from_ints(cs, d), +den)
+        return self if cs is self.numerator.nums else ZetaRational._of(self.p, QPoly.from_ints(cs, d), +den)
 
     def candidate_poles(self) -> list[tuple[Fraction, int]]:
         """Real candidate poles -nu/N with multiplicity from the factored form."""
@@ -206,8 +205,8 @@ def times_binomials(cs: list[int], d: int, p: int, factors) -> tuple[list[int], 
 
 def zeta_sum(p: int, terms) -> ZetaRational:
     """The sum at p of the terms (cs, d, den): cs over d over the factor
-    multiset den {(N, nu): m}, a ZetaRational z as (*z.numerator.to_ints(),
-    z.denominator).  The sum's multiset takes each factor's largest
+    multiset den {(N, nu): m}; a ZetaRational z enters as
+    (*z.numerator.to_ints(), z.denominator).  The sum's multiset takes each factor's largest
     multiplicity, so it does not depend on the order of the terms; each cs
     is lifted to it once and the lists are added over the lcm of the d."""
     den: Counter = Counter()
@@ -224,10 +223,9 @@ def zeta_sum(p: int, terms) -> ZetaRational:
 
 
 def measure_term(p: int, n: int, d: int, *keys: tuple[int, int, int]) -> tuple[list[int], int, dict]:
-    """n/d times the product of the `one_var_integral(p, *key)` over the keys
-    (j, N, nu), as a `zeta_sum` term: one coefficient times t^(sum j N) over
-    the binomials (N, nu), N > 0.  The one per-coordinate measure: the
-    descent's closed classes, its crossings and the charts all read it."""
+    """n/d times the product of the `one_var_integral(p, *key)`, keys (j, N,
+    nu), as a `zeta_sum` term: one coefficient times t^(sum j N) over the
+    binomials (N, nu), N > 0.  The descent and the charts read measures here."""
     e, den = 0, {}
     for j, N, nu in keys:
         if N:
