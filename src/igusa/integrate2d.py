@@ -129,7 +129,7 @@ def _W(f: MultiPoly, p: int, A: int, a: int, B: int, b: int, j1: int, j2: int, d
                 # up: rescaling x, y by p removes a factor p from f(0, 0).
                 g = f.subs({name: (v, p) for name, v in ((xn, c), (yn, d)) if v})
                 wx, wy = (0, 1) if c else (A, a), (0, 1) if d else (B, b)
-                subproblems[g, *wx, *wy, int(c == 0), int(d == 0), bool(c) + bool(d), None] += 1
+                subproblems[(g, *wx, *wy, int(c == 0), int(d == 0), bool(c) + bool(d), None)] += 1
             else:
                 # origin: blow up.  Chart x = u, y = u v covers |y| <= |x|,
                 # chart x = u v, y = v the rest; both restricted to pZ_p^2.
