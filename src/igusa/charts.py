@@ -71,12 +71,8 @@ class CandidatePole:
     sources: list = field(default_factory=list)
 
 
-def zeta_from_charts(
-    cells: list[ChartCell], ctx: PadicContext, chi: CharacterSpec = CharacterSpec()
-) -> ZetaRational:
+def zeta_from_charts(cells: list[ChartCell], ctx: PadicContext) -> ZetaRational:
     """Sum the chart contributions for the trivial character."""
-    if chi.order != 1:
-        raise ValueError("only the trivial character is supported")
     if not cells:
         raise ValueError("no chart cells given")
     if any(cell.n != ctx.n for cell in cells):

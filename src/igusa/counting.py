@@ -49,7 +49,7 @@ def _eval_mod(f: MultiPoly, coords, m: int):
     return total
 
 
-def count_naive(f: MultiPoly, p: int, i: int, budget: int = NAIVE_BUDGET) -> int:
+def count_naive(f: MultiPoly, p: int, i: int) -> int:
     """Count solutions of f = 0 mod p^i over (Z/p^i)^n by enumeration."""
     if i < 0:
         raise ValueError(f"level {i} < 0")
@@ -57,8 +57,8 @@ def count_naive(f: MultiPoly, p: int, i: int, budget: int = NAIVE_BUDGET) -> int
         return 1
     n = f.nvars
     m = p**i
-    if m**n > budget:
-        raise ValueError(f"p^(n*i) = {m**n} exceeds budget {budget}")
+    if m**n > NAIVE_BUDGET:
+        raise ValueError(f"p^(n*i) = {m**n} exceeds budget {NAIVE_BUDGET}")
     if m > 2**31:
         raise ValueError(f"p^i = {m} overflows int64 products")
     import numpy as np

@@ -59,37 +59,25 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def __add__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            other = MultiPoly.const(self.vars, other)
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return MultiPoly(self.vars, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            other = MultiPoly.const(self.vars, other)
+    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            return MultiPoly(
-                self.vars, {e: c * other for e, c in self.terms.items()}
-            )
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.vars, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
         """Repeated squaring: about 2 log2(k) products."""

@@ -81,9 +81,6 @@ class NonRationalCenterError(UnsupportedGermError):
     pass
 
 
-MAX_STEPS = 64
-
-
 def resolve_germ(f: MultiPoly) -> ResolutionTree:
     if f.nvars != 2:
         raise ValueError("two variables required")
@@ -98,6 +95,7 @@ def resolve_germ(f: MultiPoly) -> ResolutionTree:
     step = 0
     # each site: (strict transform, axes dict coord->curve id)
     sites = [(f, {})]
+    # point blowups bring a reduced plane-curve germ to normal crossings in finitely many steps
     while sites:
         s, axes = sites.pop()
         # every site is centred on a point of the strict transform: f(0, 0) = 0
@@ -124,8 +122,6 @@ def resolve_germ(f: MultiPoly) -> ResolutionTree:
             if all(len(cs) == 2 and m == 1 for cs, m in factors) and xmult <= 1 and ymult <= 1:
                 tree.strict_components += [StrictComponent(attached_to=-1) for _ in range(2)]
                 continue
-        if step >= MAX_STEPS:
-            raise ArithmeticError("max_steps exceeded")
         # blow up the origin of this site
         ax_list = list(axes.items())
         N_new = mu + sum(tree.curve(c).N for _, c in ax_list)

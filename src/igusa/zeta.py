@@ -57,26 +57,11 @@ class ZetaRational:
         z.p, z.numerator, z.denominator = p, numerator, denominator
         return z
 
-    @classmethod
-    def const(cls, p: int, c: Fraction | int) -> "ZetaRational":
-        return cls(p, QPoly.const(c))
-
-    @classmethod
-    def zero(cls, p: int) -> "ZetaRational":
-        return cls(p, QPoly())
-
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
     def denominator_poly(self) -> QPoly:
         return QPoly.from_ints(*times_binomials([1], 1, self.p, self.denominator))
-
-    def scale(self, c: Fraction | int) -> "ZetaRational":
-        return ZetaRational._of(self.p, self.numerator.scale(c), self.denominator)
-
-    def shift(self, k: int) -> "ZetaRational":
-        """Multiply by t^k."""
-        return ZetaRational._of(self.p, self.numerator.shift(k), self.denominator)
 
     def substitute(self, N0: int, nu0: int) -> "ZetaRational":
         """Z at p^(-nu0) t^N0: c_i t^i becomes c_i p^(-nu0 i) t^(N0 i) and

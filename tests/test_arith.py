@@ -61,8 +61,6 @@ def test_prs_gives_the_primitive_gcd_and_a_cofactor(a, b, c, da, db):
 def test_negative_shift_raises():
     with pytest.raises(ValueError):
         QPoly([1, 2]).shift(-1)
-    with pytest.raises(ValueError):
-        ZetaRational(3, QPoly([0, 1])).shift(-3)
 
 
 def _binomial(p, N, nu):
@@ -429,6 +427,20 @@ def test_zeta_mul_add_series_consistency():
         assert sp[i] == sum(sa[j] * sb[i - j] for j in range(i + 1))
 
 
+def test_mixed_primes_raise():
+    a, b = one_var_integral(3, 0, 1, 1), one_var_integral(5, 0, 1, 1)
+    with pytest.raises(ValueError, match="mixed primes"):
+        a + b
+    with pytest.raises(ValueError, match="mixed primes"):
+        a * b
+
+
+@pytest.mark.parametrize("p, n, message", [(1, 2, "not prime"), (9, 2, "not prime"), (3, 0, "must be >= 1")])
+def test_padic_context_rejects(p, n, message):
+    with pytest.raises(ValueError, match=message):
+        PadicContext(p, n)
+
+
 def test_zeta_json_round_trip():
     z = one_var_integral(3, 1, 2, 3) + one_var_integral(3, 0, 1, 1)
     data = z.to_json()
@@ -500,7 +512,7 @@ def _zeta_terms(draw):
     for factors, times_shared in draw(st.lists(st.tuples(
             st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(1, 4)),
                      min_size=1, max_size=3), st.booleans()), min_size=1, max_size=4)):
-        term = shared if times_shared else ZetaRational.const(p, 1)
+        term = shared if times_shared else ZetaRational(p, QPoly.const(1))
         for j, N, nu in factors:
             term = term * one_var_integral(p, j, N, nu)
         terms.append(term)
@@ -537,7 +549,7 @@ def test_zeta_sum_of_integer_triples(p, terms, rnd):
     shuffled = list(terms)
     rnd.shuffle(shuffled)
     assert json.dumps(zeta_sum(p, shuffled).to_json()) == want
-    pairwise = ZetaRational.zero(p)
+    pairwise = ZetaRational(p, QPoly())
     for cs, d, den in shuffled:
         pairwise = pairwise + ZetaRational(p, QPoly.from_ints(cs, d), den)
     assert json.dumps(pairwise.to_json()) == want
@@ -602,7 +614,7 @@ def test_operations_leave_their_operands_unchanged(case, N0, nu0):
         a + b, a * b
     _sum(p, operands)
     for z in operands:
-        z.scale(Fraction(-2, 3)), z.shift(2), z.substitute(N0, nu0), z.reduced()
+        z.substitute(N0, nu0), z.reduced()
         eval_at_one(z), series_coeffs(z, 6)
         for s0, _ in z.candidate_poles():
             laurent_at(z, s0), z.is_real_pole(s0)
@@ -614,7 +626,7 @@ def test_substitute_pins_the_factor_map():
     sub = z.substitute(3, 2)
     assert dict(sub.denominator) == {(3, 3): 2, (6, 7): 1}
     assert sub.numerator == QPoly([1, 0, 0, Fraction(2, 9)])
-    assert ZetaRational.zero(3).substitute(2, 1).is_zero()
+    assert ZetaRational(3, QPoly()).substitute(2, 1).is_zero()
 
 
 def test_vp():

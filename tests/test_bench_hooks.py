@@ -1,6 +1,6 @@
-"""The benchmark's traced run patches igusa by attribute name; every name
-it patches must still exist, so a refactor cannot break `bench/run.py
---trace 1` without failing here."""
+"""The benchmark's traced run patches igusa by attribute name, and its
+workloads import igusa names; every name it patches or imports must still
+exist, so a refactor cannot break `bench/run.py` without failing here."""
 
 import inspect
 import sys
@@ -12,6 +12,7 @@ from igusa import integrate2d
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracer  # noqa: E402
+import workloads  # noqa: E402,F401  (fails collection if a name it imports is gone)
 
 TARGETS = tracer.SPAN_TARGETS + tracer.LEAF_TARGETS
 

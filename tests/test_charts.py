@@ -44,7 +44,7 @@ def test_two_coordinate_cell():
     cell = ChartCell(k=1, monomials=((2, 3),), box=(2, 1), ord_eta=1)
     with pytest.warns(UserWarning):
         z = zeta_from_charts([cell], ctx)
-    expected = one_var_integral(3, 2, 2, 3).scale(Fraction(1, 9))
+    expected = one_var_integral(3, 2, 2, 3) * ZetaRational(3, QPoly.const(Fraction(1, 9)))
     assert z.to_json() == expected.reduced().to_json()
 
 
@@ -62,15 +62,8 @@ def test_unit_cell():
 def test_empty_cells_error():
     with pytest.raises(ValueError):
         zeta_from_charts([], PadicContext(3, 1))
-
-
-def test_nontrivial_character_unsupported():
-    with pytest.raises(ValueError):
-        zeta_from_charts(
-            [ChartCell(k=0, monomials=(), box=(0,))],
-            PadicContext(3, 1),
-            CharacterSpec(order=2),
-        )
+    with pytest.raises(ValueError, match="dimension n = 2"):
+        zeta_from_charts([ChartCell(k=0, monomials=(), box=(0,))], PadicContext(3, 2))
 
 
 def test_cell_json_round_trip():

@@ -186,6 +186,9 @@ def test_divisibility_without_l_flags_a_too_small_shift(capsys, monkeypatch):
 
 
 def test_hensel_budget_is_an_error_not_a_crash(capsys, monkeypatch):
+    # refused one level ahead, at the default budget
+    assert run(["poincare", "-f", "x^2+0*y+0*z", "--p", "101", "-k", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: level 3: 10510100501 lifts exceed budget")
     monkeypatch.setattr(counting, "NAIVE_BUDGET", 1000)
     assert run(["poincare", "-f", "x*y+z^2", "--p", "3", "-k", "6"]) == 2
     assert capsys.readouterr().err.startswith("error: level 5: 2673 lifts exceed budget")
@@ -253,6 +256,9 @@ def test_usage_errors(capsys):
     assert _run(capsys, "zeta", "-f", "x*y+z^2", "--p", "3")[0] == 2
     assert _run(capsys, "zeta", "-f", "x^2+y^2", "--family", "sum-squares", "--p", "3")[0] == 2
     assert _run(capsys, "count", "-f", "x^(", "--p", "3", "-i", "1")[0] == 2
+    # without --l, divisibility reads l from the descent, which takes 2 variables
+    assert run(["divisibility", "-f", "x*y+z^2", "--p", "2", "-k", "2"]) == 2
+    assert "--l is required" in capsys.readouterr().err
 
 
 def test_internal_error_exit_code(capsys):
@@ -322,6 +328,9 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
         ("zeta", [{"k": 1, "monomials": [[1.5, 1]], "box": [0]}]),
         ("zeta", [{"k": 0, "monomials": [], "box": [0, 0]}, {"k": 0, "monomials": [], "box": [0]}]),
         ("zeta", [{"k": 0, "monomials": [], "box": [0], "ord_eps": -1}]),
+        ("zeta", [{"k": 2, "monomials": [[1, 1], [1, 1]], "box": [0]}]),
+        ("zeta", [{"k": 1, "monomials": [[1, 1], [1, 1]], "box": [0, 0]}]),
+        ("zeta", [{"k": 1, "monomials": [[0, 1]], "box": [0]}]),
         ("poles", {"p": 3, "denominator": []}),
         ("verify", {"p": 3, "numerator": [["1", "1"]]}),
         ("laurent", {"p": 3, "numerator": [["1", "1"]], "denominator": [{"N": 0, "nu": 1}]}),
@@ -343,6 +352,7 @@ def test_negative_level_is_usage_error(capsys, tmp_path, argv):
     ],
     ids=["no-cells", "cell-without-monomials", "cells-not-a-list", "box-negative",
          "ord-eta-not-int", "N-not-int", "boxes-of-different-lengths", "ord-eps-negative",
+         "k-above-n", "monomials-not-k", "N-zero",
          "zeta-without-numerator", "zeta-without-denominator",
          "laurent-N-zero", "poles-N-zero", "verify-nu-zero", "poles-p-not-prime",
          "numerator-zero-denominator", "numerator-not-int",

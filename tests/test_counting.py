@@ -35,8 +35,8 @@ def test_naive_hyperbola():
 
 
 def test_naive_budget():
-    with pytest.raises(ValueError):
-        count_naive(parse_poly("x*y+z^2"), 101, 5, budget=10**6)
+    with pytest.raises(ValueError, match=r"exceeds budget 100000000$"):
+        count_naive(parse_poly("x*y+z^2"), 101, 5)
 
 
 def test_hensel_three_vars():
@@ -231,6 +231,15 @@ def test_hensel_budget(monkeypatch):
         poincare_truncation(f, 3, 6)
     # a last level counted by Taylor's formula builds no lifts
     assert poincare_truncation(f, 3, 5).counts() == [1, 9, 99, 891, 8505, 76545]
+
+
+def test_hensel_refuses_one_level_ahead():
+    # every zero of x^2 mod 101 is singular and a zero mod 101^2, so level 2
+    # keeps 101^2 survivors and level 3 would test 101^2 * 101^3 lifts
+    f = parse_poly("x^2+0*y+0*z")
+    assert poincare_truncation(f, 101, 2).counts() == [1, 10201, 10510100501]
+    with pytest.raises(ValueError, match=r"^level 3: 10510100501 lifts exceed budget 100000000$"):
+        poincare_truncation(f, 101, 3)
 
 
 def test_hensel_refuses_before_building_the_level_below(monkeypatch):

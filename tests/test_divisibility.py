@@ -38,6 +38,12 @@ def test_smallest_real_pole_linear():
     assert smallest_real_pole(one_var_integral(5, 0, 1, 1)) == Fraction(-1)
 
 
+def test_smallest_real_pole_of_a_polynomial_raises():
+    # (1 - t/3) / (1 - t/3) reduces to 1, which has no candidate pole
+    with pytest.raises(ValueError, match="no poles"):
+        smallest_real_pole(ZetaRational(3, QPoly([1, Fraction(-1, 3)]), {(1, 1): 1}))
+
+
 def test_smallest_real_pole_inert_circle():
     z, _ = zeta_sum_squares(PadicContext(3, 2))
     assert smallest_real_pole(z) == Fraction(-1)
@@ -165,7 +171,7 @@ def _zetas(draw):
     else:
         factors = draw(st.lists(st.tuples(st.sampled_from([(0, 1), (0, 1), (0, 2), (1, 1)]),
                                           st.integers(1, 4)), min_size=1, max_size=3))
-        z, n = ZetaRational.const(p, 1), len(factors)
+        z, n = ZetaRational(p, QPoly.const(1)), len(factors)
         for (j, nu), N in factors:
             z = z * one_var_integral(p, j, N, nu)
     if extra := draw(st.sampled_from([None, (1, 3), (2, 5), (1, 1), (2, 3)])):

@@ -172,6 +172,21 @@ def test_residue_families_reject_small_r(family, r):
         family(PadicContext(3, 2), 1, r)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_square_qp(0, 3), "a must be nonzero"),
+    (lambda: zeta_x2_ayl(PadicContext(3, 2), 0, 3), "a must be nonzero"),
+    # -a = 1 is a square, and a = 3 is no unit at p = 3
+    (lambda: residue_x2_ayl_even(PadicContext(3, 2), -1, 1), "non-square unit"),
+    (lambda: residue_x2_ayl_even(PadicContext(3, 2), 3, 1), "non-square unit"),
+    (lambda: residue_x2_ayl_even(PadicContext(2, 2), 3, 1), "a = 1 mod 8"),
+    (lambda: theorem_membership(Fraction(-2), 4), "n must be 2 or 3"),
+], ids=["is-square-of-zero", "x2-ayl-a-zero", "even-a-minus-square", "even-a-no-unit",
+        "even-p2-a-not-1-mod-8", "membership-n4"])
+def test_families_reject_inputs_outside_their_class(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_x2_ayl_l2_reduces_to_sum_squares():
     ctx = PadicContext(3, 2)
     parts, residue, z = zeta_x2_ayl(ctx, 1, 2)

@@ -112,6 +112,15 @@ def test_descent_corpus_json_golden():
     assert digest(named, (2, 3, 5)) == "fa347c0e2a0dd5d0ae78333a5da580aee19720041655124e8f85ff1c21c58884"
 
 
+@pytest.mark.parametrize("f, message", [
+    (parse_poly("x^2-x"), "two variables required"),
+    (parse_poly("0", vars=("x", "y")), "f must be nonzero"),
+])
+def test_zeta_two_var_rejects(f, message):
+    with pytest.raises(ValueError, match=message):
+        zeta_two_var(f, PadicContext(3, 2))
+
+
 @pytest.mark.parametrize("p, digest", GOLDEN_SUM_SQUARES, ids=[str(p) for p, _ in GOLDEN_SUM_SQUARES])
 def test_sum_squares_json_golden(p, digest):
     z, _ = zeta_sum_squares(PadicContext(p, 2))

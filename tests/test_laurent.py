@@ -21,9 +21,9 @@ _SPEC = st.lists(st.lists(_FACTOR, min_size=1, max_size=2), min_size=1, max_size
 
 
 def _build(p, spec):
-    z = ZetaRational.zero(p)
+    z = ZetaRational(p, QPoly())
     for factors in spec:
-        term = ZetaRational.const(p, 1)
+        term = ZetaRational(p, QPoly.const(1))
         for j, N, nu in factors:
             term = term * one_var_integral(p, j, N, nu)
         z = z + term

@@ -12,6 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 from igusa import integrate2d, resolve
 from igusa.charts import CharacterSpec
 from igusa.cli import run
+from igusa.context import PadicContext
+from igusa.families import theorem_membership
 from igusa.poly import MultiPoly, is_squarefree, parse_poly
 from igusa.zeta import laurent_at
 from igusa.resolve import (
@@ -58,6 +60,24 @@ def test_odd_family_table(r):
     distinguished = max(c.real_part for c in resolution_candidate_poles(tree))
     assert distinguished == Fraction(-(2 * r + 3), 4 * r + 2)
     assert distinguished == Fraction(-1, 2) - Fraction(1, 2 * r + 1)
+
+
+@pytest.mark.parametrize("text", ["y^2-x^127", "y^2-x^129", "y^2-x^1001", "y^3-x^200", "y^5-x^301"])
+def test_resolutions_longer_than_64_blowups(capsys, text):
+    assert run(["--json", "resolve", "-f", text]) == 0
+    assert len(json.loads(capsys.readouterr().out)["curves"]) > 64
+    tree = _tree(text)
+    assert all(relations_check(tree, step)["ok"] for step in range(1, len(tree.log) + 1))
+    if text.startswith("y^2-"):
+        # y^2 - x^(2k+1): k + 2 curves, the last (2(2k+1), 2k+3) with the
+        # candidate -1/2 - 1/(2k+1), which is the descent's largest factor
+        i = int(text[len("y^2-x^"):])
+        assert len(tree.curves) == (i - 1) // 2 + 2
+        assert tree.numerical_data()[-1] == (2 * i, i + 2)
+        last = max(c.real_part for c in resolution_candidate_poles(tree))
+        assert last == Fraction(-1, 2) - Fraction(1, i) and theorem_membership(last, 2)
+        z = integrate2d.zeta_two_var(parse_poly(text, vars=("x", "y")), PadicContext(3, 2))
+        assert max(Fraction(-nu, N) for N, nu in z.denominator) == last
 
 
 def test_odd_family_dual_graph():
@@ -138,6 +158,8 @@ def test_rejects_nonvanishing_or_zero():
         _tree("x+1")
     with pytest.raises(ValueError):
         resolve_germ(parse_poly("0", vars=("x", "y")))
+    with pytest.raises(ValueError, match="two variables required"):
+        resolve_germ(parse_poly("x*y+z^2"))
 
 
 def test_non_rational_center_error():
