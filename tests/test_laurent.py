@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm
@@ -161,3 +162,40 @@ def test_laurent_json_golden(family, p, k):
     else:
         z = zeta_x2_ayl(PadicContext(p, 2), 1, k)[2]
     assert _laurent_digest(z) == LAURENT_DIGESTS[family, p, k]
+
+
+def _random_spec(rng):
+    """1-3 products of 1-3 `one_var_integral` keys (j, N, nu)."""
+    return [[(rng.randint(0, 2), rng.randint(1, 5), rng.randint(1, 5))
+             for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 3))]
+
+
+def test_laurent_corpus_json_golden():
+    """One digest over random sums of products of `one_var_integral`s at
+    p = 2, 3, 5, 7, each Z unreduced and reduced: at every candidate pole and
+    extra in {0, 1, 2, 4}, the pole order, every b(k).to_json() and
+    is_real_pole.  The corpus reaches multiplicities, repeated factors and
+    radical degrees M > 1 with other factors at t0 above and below 1."""
+    rng = random.Random(30)
+    h = hashlib.sha256()
+    seen = Counter()
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        z = _build(p, _random_spec(rng))
+        for zz in (z, z.reduced()):
+            seen["repeated factor"] += any(m > 1 for m in zz.denominator.values())
+            for s0, m in zz.candidate_poles():
+                seen["multiplicity"] += m > 1
+                for N, nu in zz.denominator:
+                    if nu * s0.denominator != -s0.numerator * N and s0.denominator > 1:
+                        seen["p^-nu t0^N > 1" if nu < -s0 * N else "p^-nu t0^N < 1"] += 1
+                for extra in (0, 1, 2, 4):
+                    e = laurent_at(zz, s0, extra)
+                    rec = [p, str(s0), extra, e.pole_order,
+                           [e.b(k).to_json() for k in range(-extra, e.pole_order + 1)],
+                           zz.is_real_pole(s0)]
+                    h.update(json.dumps(rec, sort_keys=True).encode())
+    assert all(seen[key] for key in ("repeated factor", "multiplicity",
+                                     "p^-nu t0^N > 1", "p^-nu t0^N < 1")), seen
+    assert h.hexdigest() == "12e46a21496e2e2242ca5f4cc900e5ead274383b7f77fbe451052c9d055c31c1"
