@@ -8,7 +8,8 @@ own parser (one per command) reads the arguments after it.
 Exit codes: 0 success, 1 verification mismatch or a divisibility violation,
 2 usage error (bad arguments, a level below 0, a malformed zeta or chart
 file, such as a zeta file with p not a prime int or a factor with N or nu
-not an int >= 1) or a Hensel level that would build more than
+not an int >= 1, a `laurent` s0 that is no candidate pole -nu/N of its
+zeta file) or a Hensel level that would build more than
 `NAIVE_BUDGET` lifts, 3 unsupported input (a non-squarefree `resolve`
 germ, a non-rational blowup center), 4 internal error (an ArithmeticError
 such as an exceeded recursion depth).
@@ -142,6 +143,10 @@ def cmd_resolve(args) -> int:
 def cmd_laurent(args) -> int:
     z = _load_json(args.zeta, ZetaRational.from_json)
     s0 = _fraction(args.s0)
+    if not z.multiplicity(s0):
+        cands = ", ".join(_fmt_frac(c) for c, _ in z.candidate_poles()) or "none"
+        raise UsageError(f"s0 = {_fmt_frac(s0)} is not a candidate pole -nu/N of {args.zeta} "
+                         f"(candidates: {cands})")
     exp = laurent_at(z, s0, extra=0)
     bs = {f"b_-{k}" if k else "b_0": exp.b(k) for k in range(exp.pole_order, -1, -1)}
     data = {"s0": _fmt_frac(s0), "pole_order": exp.pole_order,

@@ -5,8 +5,9 @@ residue: a QPoly in w of degree < M.  For p prime the polynomial w^M - p is
 irreducible over Q (Eisenstein), so the quotient is a field and an element
 is zero exactly when its residue is.  `inverse` is the geometric sum
 `geometric` on integers for w^k (a + b w^r), and the cofactor of `qpoly.prs`
-against w^M - p for the rest.  `sign` bounds p^(1/M) by integer Newton
-iteration from a float estimate.
+against w^M - p for the rest.  `over_binomial` divides a vector by
+A - B w^r in O(M).  `sign` runs Horner's rule on an interval around p^(1/M)
+from integer Newton iteration.
 """
 
 from __future__ import annotations
@@ -131,32 +132,25 @@ class RadicalScalar:
         return self.poly.truncated(0)[0]
 
     def sign(self) -> int:
-        """Sign of the real value (the real M-th root of p)."""
+        """Sign of the real value: Horner's rule on r = p^(1/M) in [lo, hi] / 2^bits,
+        rounded outward, bits doubling until the value's interval excludes 0."""
         if self.is_zero():
             return 0
-        # Evaluate sum a_i r^i at r = p^(1/M) in [lo, hi] / 2^bits, scaled by
-        # 2^(bits deg) to stay on integers, refining until the sign is determined.
-        nums = self.poly.nums  # the denominator is positive
-        deg = len(nums) - 1
+        *rest, top = self.poly.nums  # the denominator is positive
         bits = 32
-        while True:
+        while bits <= 4096:
             lo, hi = _root_bounds(self.p, self.M, bits)
-            tot_lo = tot_hi = 0
-            pw_lo = pw_hi = 1
-            for i, c in enumerate(nums):
-                if c:
-                    sh = bits * (deg - i)
-                    lo_i, hi_i = c * pw_lo << sh, c * pw_hi << sh
-                    tot_lo += min(lo_i, hi_i)
-                    tot_hi += max(lo_i, hi_i)
-                pw_lo, pw_hi = pw_lo * lo, pw_hi * hi
-            if tot_lo > 0:
+            vlo = vhi = top << bits
+            for c in reversed(rest):  # v -> v r + c; r > 1, so lo or hi bounds v r
+                c <<= bits
+                vlo = (vlo * (lo if vlo >= 0 else hi) >> bits) + c
+                vhi = -(-vhi * (hi if vhi >= 0 else lo) >> bits) + c
+            if vlo > 0:
                 return 1
-            if tot_hi < 0:
+            if vhi < 0:
                 return -1
             bits *= 2
-            if bits > 4096:
-                raise ArithmeticError("sign refinement did not converge")
+        raise ArithmeticError("sign refinement did not converge")
 
     def __repr__(self) -> str:
         if self.poly.degree <= 0:
@@ -186,6 +180,27 @@ def geometric(p: int, M: int, r: int, k: int, A: int, B: int) -> tuple[list[int]
         if s >= M:
             s, c = s - M, c * p
     return vec, A**n - B**n * p ** (r * n // M)
+
+
+def over_binomial(p: int, M: int, r: int, A: int, B: int, x: list[int]) -> tuple[list[int], int]:
+    """(Y, D) with (A - B w^r) Y = D x, x an integer vector, A != 0, 0 <= r <= M:
+    Y = x sum_(j<n) A^(n-1-j) B^j w^(rj) as in `geometric`, in O(M).  On each
+    cycle s -> s + r mod M, a Horner sum gives Y at its start, and
+    A Y_(s+r) = D x_(s+r) + B lam Y_s, lam = p on a wrap past M, the rest."""
+    g = gcd(r, M)
+    n = M // g
+    D, Bp = A**n - B**n * p ** (r // g), B * p
+    Y = [0] * M
+    for s0 in range(g):
+        h, s, a = 0, s0, 1
+        for _ in range(n):  # Horner from s0 + r round to s0, a = A^(i-1) at s_i
+            s, f = (s + r - M, Bp) if s + r >= M else (s + r, B)
+            h, a = f * h + a * x[s], a * A
+        Y[s0] = h
+        for _ in range(n - 1):
+            s, f = (s + r - M, Bp) if s + r >= M else (s + r, B)
+            Y[s] = h = (D * x[s] + f * h) // A
+    return Y, D
 
 
 def _root_bounds(p: int, M: int, bits: int) -> tuple[int, int]:

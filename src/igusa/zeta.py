@@ -14,12 +14,13 @@ and its JSON depend only on the numerator and the factor multiset.
 Near a candidate pole s0, t = t0 exp(-U) with t0 = p^(-s0) and
 U = (s - s0) log p, so a polynomial sum c_i t^i has the closed-form
 expansion sum_k U^k sum_i c_i t0^i (-i)^k / k! (`u_expansion`).  Each
-t0^i folds once to p^e w^r at one radical degree M, so every U^k
-coefficient is one integer vector in Q[w]/(w^M - p).  Laurent data are one
-truncated division of two such lists: the numerator's by the expanded
-denominator product's, less the U^m it vanishes to at a pole of
-multiplicity m.  The real-pole test compares vanishing orders: s0 is a
-pole iff the numerator vanishes at t0 to order less than m.
+t0^i folds once to p^e w^r at one radical degree M, so k! times every U^k
+coefficient is one integer vector in Q[w]/(w^M - p) (`_u_vectors`).
+Laurent data divide the numerator's U-series by one factor (N, nu) at a
+time: 1 - exp(-NU), U times a unit, where -nu/N = s0, and otherwise
+1 - c exp(-NU), c = p^e w^r, through the O(M) `radical.over_binomial`.
+The real-pole test compares vanishing orders: s0 is a pole iff the
+numerator vanishes at t0 to order less than m, read from the same vectors.
 
 The Poincare series P(t) = (1 - t Z(t)) / (1 - t) is one more ZetaRational
 over Z's own factors (`poincare_rational`), the one place it is built; its
@@ -31,12 +32,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
-from math import factorial, gcd, lcm
+from functools import cache
+from itertools import chain, zip_longest
+from math import comb, factorial, gcd, lcm
 
 from .context import is_prime
 from .qpoly import QPoly
-from .radical import RadicalScalar, ResidueValue
+from .radical import RadicalScalar, ResidueValue, over_binomial
 
 
 class ZetaRational:
@@ -111,8 +113,8 @@ class ZetaRational:
         the order m of s0 among the candidates, reduced or not, so the pole
         order is m less the numerator's order, and s0 is a pole iff one of
         the numerator's U^0, ..., U^(m-1) coefficients is nonzero."""
-        m = self.multiplicity(s0)
-        return any(not c.is_zero() for c in u_expansion(self.numerator, self.p, s0, m - 1))
+        X, _ = _u_vectors(self.numerator, self.p, s0, self.multiplicity(s0) - 1, s0.denominator)
+        return any(map(any, X))
 
     def to_json(self) -> dict:
         cs, d = self.numerator.to_ints()
@@ -305,40 +307,80 @@ def poincare_from_zeta(z: ZetaRational, n: int, imax: int) -> PoincareSeries:
 # -- Laurent expansion --------------------------------------------------------
 
 
-def u_expansion(poly: QPoly, p: int, s0: Fraction, K: int) -> list[RadicalScalar]:
-    """Coefficients of U^0, ..., U^K of poly at t = t0 exp(-U), t0 = p^(-s0):
-    the coefficient of U^k is sum_i c_i t0^i (-i)^k / k!.
-
-    With s0 = -a/q in lowest terms and M = q / gcd(q, every i with c_i != 0),
-    t0^i = p^(e_i) w^(r_i) in Q[w]/(w^M - p); one power p^E clears the
-    negative e_i, so each coefficient is one integer vector over den p^E k!."""
+def _u_vectors(poly: QPoly, p: int, s0: Fraction, K: int, M: int) -> tuple[list[list[int]], int]:
+    """(X, d): X[k] / d = k! [U^k] poly(t0 exp(-U)) = sum_i c_i t0^i (-i)^k,
+    k <= K, t0 = p^(-s0), each t0^i folded to p^e w^r in Q[w]/(w^M - p)."""
     a, q = -s0.numerator, s0.denominator
     nums = poly.nums
-    g = gcd(q, *(i for i, c in enumerate(nums) if c))
-    M = q // g
-    folded = [(i, *divmod(i // g * a, M)) for i, c in enumerate(nums) if c]
-    E = max([-e for _, e, _ in folded] + [0])
+    folded = [(i, *divmod(i * a * M // q, M)) for i, c in enumerate(nums) if c]
+    E = max([-e for _, e, _ in folded] + [0])  # p^E clears the negative e
     terms = [(r, nums[i] * p ** (e + E), -i) for i, e, r in folded]
     out = []
-    for k in range(K + 1):
+    for _ in range(K + 1):
         vec = [0] * M
         for r, c, _ in terms:
             vec[r] += c
-        out.append(RadicalScalar(p, M, QPoly.from_ints(vec, poly.den * p**E * factorial(k))))
+        out.append(vec)
         terms = [(r, c * j, j) for r, c, j in terms]
-    return out
+    return out, poly.den * p**E
 
 
-def _div_trunc(a: list, b: list, K: int) -> list:
-    """a / b as a U-series truncated at U^K; b[0] must be nonzero."""
-    b0inv = b[0].inverse()
-    out = []
-    for k in range(K + 1):
-        s = a[k]
-        for j in range(1, k + 1):
-            s = s - b[j] * out[k - j]
-        out.append(s * b0inv)
-    return out
+def u_expansion(poly: QPoly, p: int, s0: Fraction, K: int) -> list[RadicalScalar]:
+    """Coefficients of U^0, ..., U^K of poly at t = p^(-s0) exp(-U), at the
+    least M (`_u_vectors`)."""
+    M = s0.denominator // gcd(s0.denominator, *(i for i, c in enumerate(poly.nums) if c))
+    X, d = _u_vectors(poly, p, s0, K, M)
+    return [RadicalScalar(p, M, QPoly.from_ints(v, d * factorial(k))) for k, v in enumerate(X)]
+
+
+def _over_factor(X: list, d: int, p: int, M: int, N: int, e: int, r: int) -> tuple[list, int]:
+    """The series X / d (X[k] = k! [U^k], as from `_u_vectors`) over
+    1 - c exp(-NU) = (A - B w^r exp(-NU)) / A, c = p^e w^r != 1, in lowest
+    terms.  The quotient by A - B w^r exp(-NU) is Y_k / (d D^(k+1)) with
+    (A - B w^r) Y_k / D = D^k X_k + B w^r sum_(1<=j<=k) C(k, j) (-N)^j D^(j-1) Y_(k-j)."""
+    A, B = (1, p**e) if e >= 0 else (p**-e, 1)
+    y, D = over_binomial(p, M, r, A, B, X[0])
+    Y, K = [y], len(X) - 1
+    cs = [0] + [(-N) ** j * D ** (j - 1) for j in range(1, K + 1)]
+    for k in range(1, K + 1):
+        # D^k X_k + B w^r acc, with w^M = p
+        acc, Dk = _binomial_sum(k, cs, Y), D**k
+        x = [Dk * u + B * v for u, v in zip(X[k], [p * c for c in acc[M - r:]] + acc[:M - r])]
+        Y.append(over_binomial(p, M, r, A, B, x)[0])
+    Y = [[c * u for u in y] for k, y in enumerate(Y) for c in [A * D ** (K - k)]]
+    return _lowest(Y, d * D ** (K + 1))
+
+
+def _binomial_sum(k: int, cs: list[int], Y: list) -> list[int]:
+    """sum_(j<=k) C(k, j) cs[j] Y[k-j], over the j with cs[j] != 0."""
+    acc = [0] * len(Y[0])
+    for j in range(k + 1):
+        if c := comb(k, j) * cs[j]:
+            acc = [u + c * v for u, v in zip(acc, Y[k - j])]
+    return acc
+
+
+def _lowest(Y: list, den: int) -> tuple[list, int]:
+    """The vectors Y over den in lowest terms."""
+    g = gcd(den, *chain.from_iterable(Y))
+    return [[u // g for u in y] for y in Y], den // g
+
+
+@cache
+def _bernoulli(k: int) -> Fraction:
+    """B_k with B_1 = +1/2: x / (1 - e^(-x)) = sum_k B_k x^k / k!."""
+    if not k:
+        return Fraction(1)
+    return -sum((-1) ** j * comb(k + 1, j + 1) * _bernoulli(k - j) for j in range(1, k + 1)) / (k + 1)
+
+
+def _over_vanishing(X: list, d: int, N: int) -> tuple[list, int]:
+    """The series X / d (as in `_over_factor`) times U / (1 - exp(-NU)),
+    whose U^k coefficient is N^(k-1) B_k / k!, in lowest terms."""
+    bs = [_bernoulli(k) for k in range(len(X))]
+    L = lcm(*(b.denominator for b in bs))
+    tau = [N**k * b.numerator * (L // b.denominator) for k, b in enumerate(bs)]
+    return _lowest([_binomial_sum(k, tau, X) for k in range(len(X))], d * N * L)
 
 
 class LaurentExpansion:
@@ -363,16 +405,20 @@ class LaurentExpansion:
 
 def laurent_at(z: ZetaRational, s0: Fraction, extra: int = 2) -> LaurentExpansion:
     """Laurent expansion of z at s = s0, via t = p^(-s0) exp(-U) with
-    U = (s - s0) log p.  Exact over Q(p^(1/M))."""
-    p = z.p
+    U = (s - s0) log p.  Exact over Q(p^(1/M)), M the least degree of the
+    numerator's and the factors' exponents."""
+    p, a, q = z.p, -s0.numerator, s0.denominator
     m = z.multiplicity(s0)
     K = m + extra
-    # D(t0 e^(-U)) vanishes to order exactly m: each factor with
-    # -nu/N = s0 is 1 - e^(-NU), and no other factor vanishes at t0
-    num = u_expansion(z.numerator, p, s0, K)
-    den = u_expansion(z.denominator_poly(), p, s0, K + m)[m:]
-    unit = _div_trunc(num, den, K)
-    # unit / U^m; numerator vanishing lowers the actual pole order
-    nv = next((i for i, c in enumerate(unit) if not c.is_zero()), K + 1)
+    M = q // gcd(q, *(i for i, c in enumerate(z.numerator.nums) if c), *(N for N, _ in z.denominator))
+    X, d = _u_vectors(z.numerator, p, s0, K, M)
+    nv = next((k for k, x in enumerate(X) if any(x)), K + 1)  # the units keep it
+    # a factor with -nu/N = s0 is 1 - exp(-NU); another has p^(-nu) t0^N = p^e w^r
+    for (N, nu), k in z.denominator.items():
+        e, r = divmod(N * a * M // q - nu * M, M)
+        for _ in range(k):
+            X, d = _over_vanishing(X, d, N) if nu * q == a * N else _over_factor(X, d, p, M, N, e, r)
+    # (unit series) / U^m; numerator vanishing lowers the actual pole order
     pole_order = max(m - nv, 0)
-    return LaurentExpansion(p, pole_order, unit[m - pole_order:])
+    return LaurentExpansion(p, pole_order, [RadicalScalar(p, M, QPoly.from_ints(X[k], d * factorial(k)))
+                                            for k in range(m - pole_order, K + 1)])

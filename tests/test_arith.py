@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from igusa.context import PadicContext, vp
 from igusa.families import residue_x2_ayl_odd
 from igusa.qpoly import QPoly, prs
-from igusa.radical import RadicalScalar, ResidueValue, _root_bounds
+from igusa.radical import RadicalScalar, ResidueValue, _root_bounds, over_binomial
 from igusa.zeta import (
     ZetaRational,
     divide_binomial,
@@ -308,6 +308,84 @@ def test_radical_sign_properties(case, c):
     # w = p^(1/M) > 0 and c > 0, so w - c has the sign of w^M - c^M
     w = RadicalScalar(p, M, [0, 1]) if M > 1 else RadicalScalar.from_rational(p, p)
     assert (w - c).sign() == _sign(p - c**M)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 24), st.integers(0, 23), st.integers(-3, 3),
+       st.integers(-9, 9).filter(bool), st.integers(-9, 9), st.integers(0, 2**32))
+@example(3, 12, 0, -2, 1, 1, 0)  # r = 0 with e < 0, and A = B
+@example(3, 12, 6, 1, 2, -3, 0)  # gcd(r, M) = 6: six cycles s -> s + r
+@example(2, 12, 8, -1, 5, 1, 0)  # four cycles, e < 0
+@example(5, 12, 9, 2, -4, 7, 0)  # three cycles
+def test_over_binomial_divides(p, M, r, e, a, b, seed):
+    """(A - B w^r) Y / D == x for a random vector x, with A = 1, B = p^e
+    (e >= 0) or A = p^-e, B = 1 (e < 0), as the Laurent path uses them, and
+    with A = a, B = b."""
+    r, rng = r % M, Random(seed)
+    x = [rng.randint(-50, 50) for _ in range(M)]
+    for A, B in ((1, p**e) if e >= 0 else (p**-e, 1), (a, b)):
+        Y, D = over_binomial(p, M, r, A, B, x)
+        binomial = [Fraction(0)] * M
+        binomial[0] += A
+        binomial[r] -= B
+        if D:
+            assert RadicalScalar(p, M, binomial) * RadicalScalar(p, M, QPoly.from_ints(Y, D)) == RadicalScalar(p, M, x)
+        else:  # w^r is irrational for 0 < r < M, so A - B w^r = 0 needs r = 0
+            assert (r, A) == (0, B)
+
+
+def _reference_sign(x):
+    """RadicalScalar.sign as it was before Horner's rule: each term a_i r^i
+    bounded on its own, scaled by 2^(bits deg); (sign, bits it took)."""
+    nums = x.poly.nums
+    deg = len(nums) - 1
+    bits = 32
+    while True:
+        lo, hi = _root_bounds(x.p, x.M, bits)
+        tot_lo = tot_hi = 0
+        pw_lo = pw_hi = 1
+        for i, c in enumerate(nums):
+            if c:
+                sh = bits * (deg - i)
+                lo_i, hi_i = c * pw_lo << sh, c * pw_hi << sh
+                tot_lo += min(lo_i, hi_i)
+                tot_hi += max(lo_i, hi_i)
+            pw_lo, pw_hi = pw_lo * lo, pw_hi * hi
+        if tot_lo > 0 or tot_hi < 0:
+            return (1 if tot_lo > 0 else -1), bits
+        bits *= 2
+
+
+def _floor_root(n, M):
+    """The integer part of n^(1/M), by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // M + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**M <= n else (lo, mid - 1)
+    return lo
+
+
+def test_sign_matches_the_term_bound_reference():
+    """Horner's rule gives the reference's sign on random values, and on
+    w^k - c with c within 10^-D of p^(k/M) from below and from above,
+    D = 3..12, which take the reference past 32 bits."""
+    rng = Random(31)
+    refined = 0
+    for _ in range(400):
+        p, M = rng.choice([2, 3, 5, 7]), rng.randint(1, 12)
+        x = RadicalScalar(p, M, [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(rng.randint(0, M))])
+        assert x.sign() == (_reference_sign(x)[0] if not x.is_zero() else 0)
+    for p in (2, 3, 5, 7):
+        for M in range(2, 9):
+            for k in range(1, M):
+                for D in (3, 6, 9, 12):
+                    c = _floor_root(p**k * 10 ** (D * M), M)  # 10^D p^(k/M) is irrational
+                    for num, want in ((c, 1), (c + 1, -1)):
+                        x = RadicalScalar(p, M, [0] * k + [1]) - Fraction(num, 10**D)
+                        sign, bits = _reference_sign(x)
+                        assert x.sign() == sign == want
+                        refined += bits > 32
+    assert refined > 100
 
 
 def test_one_var_integral_j0():

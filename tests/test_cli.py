@@ -230,6 +230,21 @@ def test_laurent_at_an_integer_s0(capsys, tmp_path):
     assert data["coefficients"]["b_-1"] == {"M": 1, "coeffs": ["8/9"], "logpow": 1}
 
 
+@pytest.mark.parametrize("s0", ["-1/1000", "-1/100000", "0", "-2", "-6/4"])
+def test_laurent_off_the_candidates_is_a_usage_error(capsys, tmp_path, s0):
+    """laurent expands Z at a candidate pole -nu/N only; at -1/100000 the
+    exact value needs a radical degree of 100000 and ran for minutes.
+    -6/4 is the candidate -3/2 in other terms."""
+    zfile = _xyzi_file(capsys, tmp_path, 2, 3)
+    code = run(["laurent", "--zeta", zfile, f"--s0={s0}"])
+    captured = capsys.readouterr()
+    if s0 == "-6/4":
+        assert code == 0 and captured.out.startswith("pole order 1 at s0 = -3/2\n")
+        return
+    assert code == 2 and captured.out == ""
+    assert "is not a candidate pole" in captured.err and "(candidates: -3/2, -1)" in captured.err
+
+
 def test_resolve_smooth_germ_has_no_curves(capsys):
     code, out = _run(capsys, "--json", "resolve", "-f", "y-x^2")
     assert code == 0
