@@ -141,7 +141,7 @@ class RadicalScalar:
         while bits <= 4096:
             lo, hi = _root_bounds(self.p, self.M, bits)
             vlo = vhi = top << bits
-            for c in reversed(rest):  # v -> v r + c; r > 1, so lo or hi bounds v r
+            for c in reversed(rest):  # v -> v r + c; lo > 0, so v's sign picks the end
                 c <<= bits
                 vlo = (vlo * (lo if vlo >= 0 else hi) >> bits) + c
                 vhi = -(-vhi * (hi if vhi >= 0 else lo) >> bits) + c
