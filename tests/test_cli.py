@@ -68,6 +68,37 @@ def test_poincare_json_bytes(capsys, f, p, k, data):
     assert out == json.dumps(data, indent=2) + "\n"
 
 
+CELLS = [{"k": 1, "monomials": [[1, 1]], "box": [0, 0]}]
+
+
+@pytest.mark.parametrize("expect, argv", [
+    (0, ("count", "-f", "x*y+z^2", "--p", "3", "-i", "3", "--mode", "naive")),
+    (0, ("count", "-f", "x*y+z^2", "--p", "3", "-i", "3", "--mode", "hensel")),
+    (0, ("poincare", "-f", "x*y+z^2", "--p", "3", "-k", "6")),
+    (0, ("zeta", "-f", "y^2-x^3", "--p", "3")),
+    (0, ("zeta", "--family", "xyzi", "--i", "2", "--p", "3")),
+    (0, ("zeta", "--charts", "CELLS", "--p", "3")),
+    (0, ("resolve", "-f", "y^2-x^3")),
+    (0, ("resolve", "-f", "y-x^2")),
+    (0, ("poles", "--zeta", "ZETA")),
+    (0, ("laurent", "--zeta", "ZETA", "--s0=-3/2")),
+    (0, ("verify", "-f", "x*y+z^2", "--zeta", "ZETA", "--p", "3", "-k", "3")),
+    (1, ("verify", "-f", "x*y+z^3", "--zeta", "ZETA", "--p", "3", "-k", "3")),
+    (0, ("divisibility", "-f", "x*y+z^2", "--p", "2", "-k", "6", "--l=-3/2")),
+    (0, ("divisibility", "-f", "y^2-x^3", "--p", "2", "-k", "6")),
+], ids=["count-naive", "count-hensel", "poincare", "zeta-f", "zeta-family", "zeta-charts",
+        "resolve", "resolve-smooth", "poles", "laurent", "verify", "verify-mismatch",
+        "divisibility-l", "divisibility"])
+def test_json_output_is_stdlib_indent_2(capsys, tmp_path, expect, argv):
+    """Every command's --json stdout is json.dumps(value, indent=2) and a newline."""
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps(CELLS))
+    files = {"ZETA": _xyzi_file(capsys, tmp_path, 2, 3), "CELLS": str(cells)}
+    code, out = _run(capsys, "--json", *(files.get(a, a) for a in argv))
+    assert code == expect
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy is imported only by the counting functions that build arrays
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
