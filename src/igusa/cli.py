@@ -13,6 +13,12 @@ zeta file) or a Hensel level that would build more than
 `NAIVE_BUDGET` lifts, 3 unsupported input (a non-squarefree `resolve`
 germ, a non-rational blowup center), 4 internal error (an ArithmeticError
 such as an exceeded recursion depth).
+
+`--json` output is `json.dumps(value, indent=2)` and a newline, byte for
+byte.  Below Python 3.13 that call runs the stdlib's pure-Python encoder, so
+`_dumps` writes it instead: the str, int and bool leaves, lists and
+str-keyed dicts that the commands emit directly (strings by the C escaper),
+anything else through json.dumps.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .charts import ChartCell, CharacterSpec, zeta_from_charts
 from .context import PadicContext
@@ -65,9 +72,33 @@ def _load_json(path: str, parse):
             raise UsageError(f"malformed file {path}: {e!r}") from e
 
 
+# json.dumps(indent=2) is C code from Python 3.13 on: _dumps can go when
+# requires-python reaches 3.13
+def _dumps(value, ind: str = "\n") -> str:
+    """json.dumps(value, indent=2) of a value nested at indent ind (a newline
+    and its spaces).  Any type but exact str, int, bool, list, tuple and
+    str-keyed dict goes to json.dumps, re-indented: JSON text holds no raw
+    newline inside a string, so the result is the same bytes, or the same
+    error."""
+    t, inner = type(value), ind + "  "
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is bool:
+        return "true" if value else "false"
+    if t is list or t is tuple:
+        items = [_dumps(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{ind}]" if items else "[]"
+    if t is dict and all(type(k) is str for k in value):
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{ind}}}" if items else "{}"
+    return json.dumps(value, indent=2).replace("\n", ind)
+
+
 def _emit(args, data: dict, text) -> None:
     """Print data as JSON under --json, else text(), built only then."""
-    print(json.dumps(data, indent=2) if args.json else text())
+    print(_dumps(data) if args.json else text())
 
 
 def _fmt_frac(x: Fraction) -> str:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igusa import cli, counting
 from igusa.cli import run
@@ -97,6 +98,39 @@ def test_json_output_is_stdlib_indent_2(capsys, tmp_path, expect, argv):
     code, out = _run(capsys, "--json", *(files.get(a, a) for a in argv))
     assert code == expect
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _Str(str):
+    pass
+
+
+_TEXT = st.text(alphabet='"\\/\n\t\x00\x1f\x7fé€\u2028\U0001f600 a', max_size=4)
+_LEAVES = st.one_of(_TEXT, st.text(), st.integers(), st.integers(-10**40, 10**40), st.booleans(),
+                    st.none(), st.floats(allow_nan=True), _TEXT.map(_Str))
+_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+_VALUES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, kids, max_size=4), st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+# hypothesis costs a few ms an example, whatever its size: a few hundred
+# values of up to 24 leaves each keep the test near 1 s
+@settings(max_examples=200)
+@given(_VALUES)
+def test_dumps_is_stdlib_indent_2(value):
+    """cli._dumps writes json.dumps(value, indent=2), byte for byte, for
+    nested lists, tuples and dicts (non-str keys among them), escaped and
+    non-ASCII strings, str subclasses, big ints, bools, None, floats and NaN."""
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_raises_where_json_raises():
+    for value in ({1, 2}, [{"a": b"x"}], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._dumps(value)
 
 
 def test_cli_import_does_not_load_numpy():
