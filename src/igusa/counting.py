@@ -98,6 +98,8 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
     f, imax = MultiPoly(f.vars, {e: c // p**w for e, c in f.terms.items()}), imax - w
     if imax == 0:
         return PoincareSeries(p, n, [q**i for i in range(w + 1)])
+    if q > NAIVE_BUDGET:  # level 1 enumerates all q digit vectors
+        raise ValueError(f"level {1 + w}: {q} lifts exceed budget {NAIVE_BUDGET}")
     import numpy as np
 
     dtype = np.int64 if p**imax <= 2**31 else object

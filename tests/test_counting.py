@@ -233,6 +233,17 @@ def test_hensel_budget(monkeypatch):
     assert poincare_truncation(f, 3, 5).counts() == [1, 9, 99, 891, 8505, 76545]
 
 
+def test_hensel_budget_at_level_1(monkeypatch):
+    # level 1 enumerates all p^n digit vectors: refused before any is built
+    monkeypatch.setattr(counting, "NAIVE_BUDGET", 26)
+    with pytest.raises(ValueError, match=r"^level 1: 27 lifts exceed budget 26$"):
+        poincare_truncation(parse_poly("x*y+z^2"), 3, 2)
+    # f = 3 (x*y+z^2): levels 0 and 1 are closed form, the pass on g refuses level 2
+    with pytest.raises(ValueError, match=r"^level 2: 27 lifts exceed budget 26$"):
+        poincare_truncation(parse_poly("3*x*y+3*z^2"), 3, 2)
+    assert poincare_truncation(parse_poly("3*x*y+3*z^2"), 3, 1).counts() == [1, 27]
+
+
 def test_hensel_refuses_one_level_ahead():
     # every zero of x^2 mod 101 is singular and a zero mod 101^2, so level 2
     # keeps 101^2 survivors and level 3 would test 101^2 * 101^3 lifts
