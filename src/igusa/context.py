@@ -6,19 +6,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin to these bases is exact below _MR_BOUND, the least strong
+# pseudoprime to all of them (OEIS A014233)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic primality test (trial division; inputs are small)."""
+    """Deterministic primality test: the bases as trial divisors, then strong
+    probable-prime tests to each; a ValueError for m >= _MR_BOUND that has
+    no such divisor."""
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for a in _MR_BASES:
+        if m % a == 0:
+            return m == a
+    if m >= _MR_BOUND:
+        raise ValueError(f"p = {m}: primality is decided only below {_MR_BOUND}")
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d 2^s, d odd
+    d = (m - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
