@@ -13,6 +13,7 @@ from integer Newton iteration.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, log2
 from typing import Sequence
 
@@ -203,8 +204,10 @@ def over_binomial(p: int, M: int, r: int, A: int, B: int, x: list[int]) -> tuple
     return Y, D
 
 
+@lru_cache(maxsize=256)
 def _root_bounds(p: int, M: int, bits: int) -> tuple[int, int]:
-    """Integers lo <= 2^bits * p^(1/M) <= hi with hi - lo = 1 (or equal)."""
+    """Integers lo <= 2^bits * p^(1/M) <= hi with hi - lo = 1 (or equal).
+    Cached, as `sign` asks for the same few (p, M, bits) on every call."""
     target = p << (bits * M)
     # e = log2 of the root, good to ~40 bits; the first Newton step lands at or
     # above the floor root (AM-GM), later ones decrease strictly down to it
