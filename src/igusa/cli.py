@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 verification mismatch or a divisibility violation,
 2 usage error (bad arguments, a level below 0, a malformed zeta or chart
 file, such as a zeta file with p not a prime int or a factor with N or nu
 not an int >= 1, a `laurent` s0 that is no candidate pole -nu/N of its
-zeta file) or a Hensel level that would build more than
-`NAIVE_BUDGET` lifts, 3 unsupported input (a non-squarefree `resolve`
-germ, a non-rational blowup center), 4 internal error (an ArithmeticError
-such as an exceeded recursion depth).
+zeta file, a p at or past the bound of `context.is_prime`) or a Hensel
+level that would build more than `NAIVE_BUDGET` lifts, level 1 included,
+3 unsupported input (a non-squarefree `resolve` germ, a non-rational
+blowup center), 4 internal error (an ArithmeticError such as an exceeded
+recursion depth).
 
 `--json` output is `json.dumps(value, indent=2)` and a newline, byte for
 byte.  Below Python 3.13 that call runs the stdlib's pure-Python encoder, so

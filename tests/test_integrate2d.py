@@ -485,7 +485,7 @@ def _check_poles_against_resolution(f, p):
 
 # The strategy holds germs on which the descent exceeds its depth, such as
 # each entry of DEPTH_FAILURES below, and germs on which it runs for
-# minutes, such as -(x-y)^2-2*x^4*y^4 at p = 3 (ROADMAP item 4).  The
+# minutes, such as -(x-y)^2-2*x^4*y^4 at p = 3 (ROADMAP items 1 and 4).  The
 # derandomized draw of the `igusa` profile in conftest misses both; check
 # that again when Hypothesis is upgraded or the strategy changes.
 _GERMS = st.dictionaries(
@@ -502,22 +502,22 @@ def test_poles_against_the_resolution(f, p):
     try:
         _check_poles_against_resolution(f, p)
     except ArithmeticError as e:
-        # the depth failure is ROADMAP item 4, pinned by DEPTH_FAILURES;
+        # the depth failure (ROADMAP items 1 and 4) is pinned by DEPTH_FAILURES;
         # any other error, a ZeroDivisionError included, is a fault
         if str(e) != "integration recursion depth exceeded":
             raise
-        event("descent depth exceeded (ROADMAP item 4)")
+        event("descent depth exceeded (ROADMAP items 1 and 4)")
 
 
-# squarefree germs on which the descent exceeds its depth (ROADMAP item
-# 4): where the tangent is not an axis, it never blows up the singular
+# squarefree germs on which the descent exceeds its depth (ROADMAP items
+# 1 and 4): where the tangent is not an axis, it never blows up the singular
 # point; the last row's tangent cone is the axis y^3
 DEPTH_FAILURES = [("(x+y)^2+x^3", 3), ("(x+y)^2-x^3", 5), ("(x+2*y)^2+x^3", 2),
                   ("x^3*y^2-x^4*y-2*x^2*y^2-y^3", 3)]
 
 
 @pytest.mark.xfail(strict=True, raises=ArithmeticError,
-                   reason="ROADMAP item 4: the descent exceeds its depth")
+                   reason="ROADMAP items 1 and 4: the descent exceeds its depth")
 @pytest.mark.parametrize("text, p", DEPTH_FAILURES, ids=[f"{t}-{p}" for t, p in DEPTH_FAILURES])
 def test_poles_against_the_resolution_depth_failures(text, p):
     _check_poles_against_resolution(parse_poly(text, vars=("x", "y")), p)
