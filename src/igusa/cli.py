@@ -15,11 +15,8 @@ level that would build more than `NAIVE_BUDGET` lifts, level 1 included,
 blowup center), 4 internal error (an ArithmeticError such as an exceeded
 recursion depth).
 
-`--json` output is `json.dumps(value, indent=2)` and a newline, byte for
-byte.  Below Python 3.13 that call runs the stdlib's pure-Python encoder, so
-`_dumps` writes it instead: the str, int and bool leaves, lists and
-str-keyed dicts that the commands emit directly (strings by the C escaper),
-anything else through json.dumps.
+`--json` prints `json.dumps(value, indent=2)` byte for byte, as written by
+`_dumps`: below Python 3.13 that call runs the stdlib's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -73,14 +70,13 @@ def _load_json(path: str, parse):
             raise UsageError(f"malformed file {path}: {e!r}") from e
 
 
-# json.dumps(indent=2) is C code from Python 3.13 on: _dumps can go when
+# json.dumps(indent=2) runs in C from Python 3.13 on: _dumps can go when
 # requires-python reaches 3.13
 def _dumps(value, ind: str = "\n") -> str:
-    """json.dumps(value, indent=2) of a value nested at indent ind (a newline
-    and its spaces).  Any type but exact str, int, bool, list, tuple and
-    str-keyed dict goes to json.dumps, re-indented: JSON text holds no raw
-    newline inside a string, so the result is the same bytes, or the same
-    error."""
+    """json.dumps(value, indent=2) at nesting ind (a newline and spaces).
+    Exact str, int, bool, list, tuple and str-keyed dict are written here,
+    the rest by json.dumps, re-indented: JSON text holds no raw newline in
+    a string, so the bytes, or the error, are the same."""
     t, inner = type(value), ind + "  "
     if t is str:
         return encode_basestring_ascii(value)
