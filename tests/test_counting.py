@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from igusa import counting
 from igusa.counting import (
@@ -131,7 +131,18 @@ def test_hensel_matches_naive_on_random_polynomials(f):
         assert [count_hensel(f, p, i) for i in levels] == naive, (f, p)
 
 
+_M = 2**31 - 1
+
+
+# The int64 bound: four coefficients -1 (m - 1 once reduced) at coordinates
+# m - 1 and m - 2 make c*x products near 2^62, whose unreduced sum wraps past
+# 2^63.  Drawn examples do not reach it.  m = 2^31 alone cannot show the
+# wraparound, since 2^64 = 0 mod 2^31, hence m = 2^31 - 1.
 @settings(max_examples=200)
+@example(f=parse_poly("-x-y-z-x*y"), rows=[(_M - 1, _M - 2, _M - 1), (_M - 2, _M - 1, _M - 2)],
+         m=_M, big_m=2**31)
+@example(f=parse_poly("-x*y-y*z-z*x-x^2"), rows=[(2**31 - 1, 2**31 - 2, 2**31 - 1)],
+         m=2**31, big_m=2**64 - 1)
 @given(
     f=_small_polys(),
     rows=st.lists(st.tuples(*[st.integers(-(10**6), 10**6)] * 3), min_size=1, max_size=8),
