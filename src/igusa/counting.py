@@ -1,27 +1,31 @@
 """Counting solutions of f = 0 mod p^i, naively and by one Hensel pass.
 
-Both evaluate f with `_eval_mod`, square-and-multiply over numpy arrays.  A
-zero mod p with a unit partial derivative lifts to p^((n-1)(i-1)) zeros mod
-p^i (Hensel's lemma).  For a zero a mod p^(j-1) that is singular mod p and a
-digit vector d, Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) +
-p^(j-1) grad f(a).d mod p^(2(j-1)).  Since grad f(a) = 0 mod p and 2(j-1)
->= j for j >= 2, all p^n lifts of a pass or fail mod p^j with a: the pass
-evaluates f once per kept zero per level, and a survivor adds p^n to M_j.
-For j >= 3 also 2(j-1) >= j+1.  If a survives, f(a) = p^j F and grad f(a)
-= p G, and a lift survives level j+1 iff F + G.d = 0 mod p: for p^(n-1) of
-the d if G != 0 mod p, for all or none of them (by F) if G = 0.  So a last
-level imax >= 4 is counted from its parents, the survivors of level
-imax - 1 >= 3 (at j = 2 the terms of degree 2 in p d do not vanish mod
-p^3).  The other levels build lifts `_BLOCK` rows at a time, keep only the
-survivors, and refuse to build more than `NAIVE_BUDGET`; the same formula
-counts, from level j >= 3, the lifts level j + 2 would build, so a pass
-that must refuse does so before it builds level j + 1.
+Both evaluate f with `_eval_mod`, square-and-multiply over numpy arrays that
+reduces each coordinate a term uses once, each term below m, and the sum of
+the terms once (int64 arrays need m <= 2^31).  A zero mod p with a unit
+partial derivative lifts to p^((n-1)(i-1)) zeros mod p^i (Hensel's lemma).
+For a zero a mod p^(j-1) that is singular mod p and a digit vector d,
+Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) + p^(j-1) grad f(a).d
+mod p^(2(j-1)).  Since grad f(a) = 0 mod p and 2(j-1) >= j for j >= 2, all
+p^n lifts of a pass or fail mod p^j with a: the pass evaluates f once per
+kept zero per level, and a survivor adds p^n to M_j.  For j >= 3 also
+2(j-1) >= j+1.  If a survives, f(a) = p^j F and grad f(a) = p G, and a lift
+survives level j+1 iff F + G.d = 0 mod p: for p^(n-1) of the d if G != 0
+mod p, for all or none of them (by F) if G = 0.  So a last level imax >= 4
+is counted from its parents, the survivors of level imax - 1 >= 3 (at j = 2
+the terms of degree 2 in p d do not vanish mod p^3).  The other levels build
+lifts `_BLOCK` rows at a time, from digit vectors built once per (p, n) and
+shared read-only, keep only the survivors, and refuse to build more than
+`NAIVE_BUDGET`; from level j >= 3 the same formula counts the lifts level
+j + 2 would build, so a pass that must refuse does so before building j + 1.
 
 numpy is imported inside the functions that build arrays, so a command that
 does not count never loads it.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .context import vp
 from .poly import MultiPoly
@@ -33,20 +37,30 @@ _BLOCK = 4096  # lifted points per block of the Hensel pass; bounds its memory
 
 def _eval_mod(f: MultiPoly, coords, m: int):
     """f mod m at integer arrays coords (one per variable, broadcast
-    together); int64 arrays need m <= 2^31 so that products fit."""
-    xs = [x % m for x in coords]
-    total = 0
+    together), a scalar for a constant f.  Each coordinate a term uses is
+    reduced once, each term below m (its coefficient mod m multiplies it
+    unless that is 1), and the sum of the terms once; int64 arrays need
+    m <= 2^31 so that products of two residues fit."""
+    xs, total = {}, None
     for e, c in f.terms.items():
-        term = c % m
-        for base, k in zip(xs, e):
+        term, c = None, c % m
+        if not c:
+            continue
+        for v, k in enumerate(e):
+            if not k:
+                continue
+            if v not in xs:
+                xs[v] = coords[v] % m
+            base = xs[v]
             while k:
                 if k & 1:
-                    term = term * base % m
+                    term = base if term is None else term * base % m
                 k >>= 1
                 if k:
                     base = base * base % m
-        total = (total + term) % m
-    return total
+        term = c if term is None else term if c == 1 else term * c % m
+        total = term if total is None else total + term
+    return 0 if total is None else total % m
 
 
 def count_naive(f: MultiPoly, p: int, i: int) -> int:
@@ -76,10 +90,21 @@ def count_hensel(f: MultiPoly, p: int, i: int) -> int:
 
 def _zeros(f: MultiPoly, pts, m: int):
     """The rows of pts at which f = 0 mod m (`_eval_mod` of a constant f is
-    a scalar, hence the broadcast)."""
+    a scalar: all rows or none)."""
+    values = _eval_mod(f, pts.T, m)
+    if type(values) is int:
+        return pts if values == 0 else pts[:0]
+    return pts[values == 0]
+
+
+@functools.lru_cache(maxsize=16)
+def _digit_block(p: int, n: int, lo: int):
+    """The base-p digit vectors of lo .. min(lo + _BLOCK, p^n) - 1, read-only."""
     import numpy as np
 
-    return pts[np.broadcast_to(_eval_mod(f, pts.T, m) == 0, len(pts))]
+    d = np.arange(lo, min(lo + _BLOCK, p**n))[:, None] // p ** np.arange(n) % p
+    d.flags.writeable = False
+    return d
 
 
 def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
@@ -110,8 +135,7 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
         """The rows a + step d for a in parents and every digit vector d, in
         blocks of at most _BLOCK: digit vectors, then parents, by blocks."""
         for lo in range(0, q, _BLOCK):
-            d = np.arange(lo, min(lo + _BLOCK, q))[:, None] // p ** np.arange(n) % p
-            d = d.astype(dtype) * step
+            d = _digit_block(p, n, lo).astype(dtype, copy=False) * step
             rows = max(1, _BLOCK // len(d))
             for r in range(0, len(parents), rows):
                 yield (parents[r:r + rows, None] + d).reshape(-1, n)

@@ -304,3 +304,8 @@ def test_hensel_refusal_names_the_level_of_f(monkeypatch):
     monkeypatch.setattr(counting, "NAIVE_BUDGET", 1000)
     with pytest.raises(ValueError, match=r"^level 7: 2673 lifts exceed budget 1000$"):
         poincare_truncation(parse_poly("9*x*y+9*z^2"), 3, 8)
+
+
+def test_digit_blocks_are_read_only():
+    with pytest.raises(ValueError):
+        counting._digit_block(3, 3, 0)[0, 0] = 1
