@@ -2,22 +2,23 @@
 
 Both evaluate f with `_eval_mod`, square-and-multiply over numpy arrays that
 reduces each coordinate a term uses once, each term below m, and the sum of
-the terms once (int64 arrays need m <= 2^31).  A zero mod p with a unit
+the terms once; int64 arrays need m <= 2^31.  A zero mod p with a unit
 partial derivative lifts to p^((n-1)(i-1)) zeros mod p^i (Hensel's lemma).
-For a zero a mod p^(j-1) that is singular mod p and a digit vector d,
-Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) + p^(j-1) grad f(a).d
-mod p^(2(j-1)).  Since grad f(a) = 0 mod p and 2(j-1) >= j for j >= 2, all
-p^n lifts of a pass or fail mod p^j with a: the pass evaluates f once per
-kept zero per level, and a survivor adds p^n to M_j.  For j >= 3 also
-2(j-1) >= j+1.  If a survives, f(a) = p^j F and grad f(a) = p G, and a lift
-survives level j+1 iff F + G.d = 0 mod p: for p^(n-1) of the d if G != 0
-mod p, for all or none of them (by F) if G = 0.  So a last level imax >= 4
-is counted from its parents, the survivors of level imax - 1 >= 3 (at j = 2
-the terms of degree 2 in p d do not vanish mod p^3).  The other levels build
-lifts `_BLOCK` rows at a time, from digit vectors built once per (p, n) and
-shared read-only, keep only the survivors, and refuse to build more than
-`NAIVE_BUDGET`; from level j >= 3 the same formula counts the lifts level
-j + 2 would build, so a pass that must refuse does so before building j + 1.
+For a zero a mod p^(j-1) that is singular mod p and a
+digit vector d, Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) +
+p^(j-1) grad f(a).d mod p^(2(j-1)).  Since grad f(a) = 0 mod p and 2(j-1)
+>= j for j >= 2, all p^n lifts of a pass or fail mod p^j with a: the pass
+evaluates f once per kept zero per level, and a survivor adds p^n to M_j.
+For j >= 3 also 2(j-1) >= j+1.  If a survives, f(a) = p^j F and grad f(a)
+= p G, and a lift survives level j+1 iff F + G.d = 0 mod p: for p^(n-1) of
+the d if G != 0 mod p, for all or none of them (by F) if G = 0.  So a last
+level imax >= 4 is counted from its parents, the survivors of level
+imax - 1 >= 3 (at j = 2 the terms of degree 2 in p d do not vanish mod
+p^3).  The other levels build lifts `_BLOCK` rows at a time, from digit
+vectors built once per (p, n) and shared read-only, keep only the
+survivors, and refuse to build more than `NAIVE_BUDGET`; the same formula
+counts, from level j >= 3, the lifts level j + 2 would build, so a pass
+that must refuse does so before it builds level j + 1.
 
 numpy is imported inside the functions that build arrays, so a command that
 does not count never loads it.
