@@ -3,7 +3,10 @@
 `count --mode hensel`, `poincare`, `verify` and `divisibility` take their
 counts M_0..M_k from one level-by-level Hensel pass; `count --mode naive`
 enumerates every point mod p^i.  `--json` precedes the command word, whose
-own parser (one per command) reads the arguments after it.
+row of `COMMANDS` reads the flags after it as argparse would: spelt exactly,
+`--flag=value`, `-x=value`, `-xVALUE`, a unique long prefix; a separate value
+starting with `-` must be a negative number or hold a space.  An argument
+error prints `usage error: ...` and exits 2.
 
 Exit codes: 0 success, 1 verification mismatch or a divisibility violation,
 2 usage error (bad arguments, a level below 0, a malformed zeta or chart
@@ -21,12 +24,12 @@ recursion depth).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .charts import ChartCell, CharacterSpec, zeta_from_charts
 from .context import PadicContext
@@ -244,86 +247,102 @@ def cmd_divisibility(args) -> int:
     return 0 if report.ok else 1
 
 
-@functools.cache
-def build_parser() -> dict:
-    """{command word: its parser} and, under None, the top-level parser."""
-    ap = argparse.ArgumentParser(prog="igusa-zeta",
-                                 description="Exact p-adic zeta functions")
-    ap.add_argument("--json", action="store_true", help="JSON output")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    c = sub.add_parser("count")
-    c.add_argument("-f", required=True)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("-i", type=int, required=True)
-    c.add_argument("--mode", choices=["naive", "hensel"], default="hensel")
-
-    c = sub.add_parser("poincare")
-    c.add_argument("-f", required=True)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("-k", type=int, required=True)
-
-    c = sub.add_parser("zeta")
-    c.add_argument("--family", choices=["sum-squares", "xyzi"])
-    c.add_argument("--charts")
-    c.add_argument("-f")
-    c.add_argument("--i", type=int)
-    c.add_argument("--p", type=int, required=True)
-
-    c = sub.add_parser("resolve")
-    c.add_argument("-f", required=True)
-    c.add_argument("--dot")
-
-    c = sub.add_parser("laurent")
-    c.add_argument("--zeta", required=True)
-    c.add_argument("--s0", required=True)
-    c.add_argument("-m", type=int, default=2, help="ignored: the output is b_-k..b_0 at any -m")
-
-    c = sub.add_parser("poles")
-    c.add_argument("--zeta", required=True)
-    c.add_argument("--chi-order", type=int, default=1)
-
-    c = sub.add_parser("verify")
-    c.add_argument("-f", required=True)
-    c.add_argument("--zeta", required=True)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("-k", type=int, required=True)
-
-    c = sub.add_parser("divisibility")
-    c.add_argument("-f", required=True)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("-k", type=int, required=True)
-    c.add_argument("--l")
-    return {None: ap, **sub.choices}
-
-
+_STR, _INT, _OPT = (str, True, None), (int, True, None), (str, False, None)
+# command word: (handler, {flag: (kind, required, default)}); a kind is
+# str, int or a tuple of choices, and None marks -h/--help
 COMMANDS = {
-    "count": cmd_count,
-    "poincare": cmd_poincare,
-    "zeta": cmd_zeta,
-    "resolve": cmd_resolve,
-    "laurent": cmd_laurent,
-    "poles": cmd_poles,
-    "verify": cmd_verify,
-    "divisibility": cmd_divisibility,
+    "count": (cmd_count, {"-f": _STR, "--p": _INT, "-i": _INT,
+                          "--mode": (("naive", "hensel"), False, "hensel")}),
+    "poincare": (cmd_poincare, {"-f": _STR, "--p": _INT, "-k": _INT}),
+    "zeta": (cmd_zeta, {"--family": (("sum-squares", "xyzi"), False, None), "--charts": _OPT,
+                        "-f": _OPT, "--i": (int, False, None), "--p": _INT}),
+    "resolve": (cmd_resolve, {"-f": _STR, "--dot": _OPT}),
+    # -m is ignored: the output is b_-k..b_0 at any -m
+    "laurent": (cmd_laurent, {"--zeta": _STR, "--s0": _STR, "-m": (int, False, 2)}),
+    "poles": (cmd_poles, {"--zeta": _STR, "--chi-order": (int, False, 1)}),
+    "verify": (cmd_verify, {"-f": _STR, "--zeta": _STR, "--p": _INT, "-k": _INT}),
+    "divisibility": (cmd_divisibility, {"-f": _STR, "--p": _INT, "-k": _INT, "--l": _OPT}),
 }
+for _, _options in COMMANDS.values():
+    _options.update({"-h": (None, False, None), "--help": (None, False, None)})
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative numbers
+
+
+def _flag(options: dict, token: str):
+    """(flag, its attached value or None) if token names a flag of options,
+    (None, token) if it looks like an unknown flag, None if it is a value."""
+    if token in options:
+        return token, None
+    if len(token) < 2 or token[0] != "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] != "-":  # a one-letter flag with its value attached
+        hits = [(token[:2], token[2:])] if token[:2] in options else []
+    else:  # a unique prefix of a long flag ("--" alone is none)
+        hits = [(o, value if eq else None) for o in options if o.startswith(name)] if name != "--" else []
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {name} could match {', '.join(o for o, _ in hits)}")
+    return hits[0] if hits else None if _NUMBER.match(token) or " " in token else (None, token)
+
+
+def _parse(options: dict, argv: list) -> SimpleNamespace | None:
+    """The flags of argv read by options as argparse reads them (a repeated
+    flag keeps its last value); None after -h or --help."""
+    values = {flag: default for flag, (kind, _, default) in options.items() if kind}
+    extra, i = [], 0
+    while i < len(argv):
+        flag, value = _flag(options, argv[i]) or (None, argv[i])
+        i += 1
+        if flag is None:
+            extra.append(value)
+            continue
+        if (kind := options[flag][0]) is None:
+            return None
+        if value is None:
+            if i == len(argv) or _flag(options, argv[i]) is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            value, i = argv[i], i + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(kind)})")
+        values[flag] = value
+    if missing := [f for f, (_, required, _) in options.items() if required and values[f] is None]:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**{f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
+
+
+def _usage(cmd: str) -> str:
+    """The usage line of cmd, from the option table."""
+    words = [(f"{flag} " + ("{%s}" % ",".join(kind) if type(kind) is tuple else kind.__name__.upper())
+              + ("" if default is None else f" (default {default})"), required)
+             for flag, (kind, required, default) in COMMANDS[cmd][1].items() if kind]
+    return f"usage: igusa-zeta [--json] {cmd} " + " ".join(w if r else f"[{w}]" for w, r in words)
 
 
 def run(argv) -> int:
-    parsers, as_json = build_parser(), argv[:1] == ["--json"]
+    as_json = argv[:1] == ["--json"]
     cmd, *rest = argv[as_json:] or [None]
     try:
-        if cmd in COMMANDS:  # only this command's parser reads the rest
-            args, extra = parsers[cmd].parse_known_args(rest)
-            if extra:
-                parsers[None].error(f"unrecognized arguments: {' '.join(extra)}")
-            args.json, args.cmd = as_json, cmd
-        else:  # -h, a missing or unknown command, or --json spelt otherwise
-            args = parsers[None].parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code else 0
-    try:
-        return COMMANDS[args.cmd](args)
+        if cmd in ("-h", "--help"):
+            print("usage: igusa-zeta [--json] COMMAND ...  or  igusa-zeta -h\n"
+                  "Exact p-adic zeta functions; --json prints JSON.\n" + "\n".join(map(_usage, COMMANDS)))
+            return 0
+        if cmd not in COMMANDS:
+            raise UsageError(f"give [--json] COMMAND ..., COMMAND one of {', '.join(COMMANDS)}")
+        handler, options = COMMANDS[cmd]
+        if (args := _parse(options, rest)) is None:
+            print(_usage(cmd))
+            return 0
+        args.json = as_json
+        return handler(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

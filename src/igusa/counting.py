@@ -71,9 +71,9 @@ def count_naive(f: MultiPoly, p: int, i: int) -> int:
     if i == 0:
         return 1
     n = f.nvars
+    if n * i >= NAIVE_BUDGET.bit_length() or p ** (n * i) > NAIVE_BUDGET:  # p >= 2: before p^i
+        raise ValueError(f"p^(n*i) = {p}^{n * i} exceeds budget {NAIVE_BUDGET}")
     m = p**i
-    if m**n > NAIVE_BUDGET:
-        raise ValueError(f"p^(n*i) = {m**n} exceeds budget {NAIVE_BUDGET}")
     if m > 2**31:
         raise ValueError(f"p^i = {m} overflows int64 products")
     import numpy as np

@@ -113,7 +113,7 @@ class ZetaRational:
         the order m of s0 among the candidates, reduced or not, so the pole
         order is m less the numerator's order, and s0 is a pole iff one of
         the numerator's U^0, ..., U^(m-1) coefficients is nonzero."""
-        X, _ = _u_vectors(self.numerator, self.p, s0, self.multiplicity(s0) - 1, s0.denominator)
+        X, _ = _u_vectors(self.numerator, self.p, s0, self.multiplicity(s0) - 1)
         return any(map(any, X))
 
     def to_json(self) -> dict:
@@ -307,11 +307,13 @@ def poincare_from_zeta(z: ZetaRational, n: int, imax: int) -> PoincareSeries:
 # -- Laurent expansion --------------------------------------------------------
 
 
-def _u_vectors(poly: QPoly, p: int, s0: Fraction, K: int, M: int) -> tuple[list[list[int]], int]:
+def _u_vectors(poly: QPoly, p: int, s0: Fraction, K: int, M: int = 0) -> tuple[list[list[int]], int]:
     """(X, d): X[k] / d = k! [U^k] poly(t0 exp(-U)) = sum_i c_i t0^i (-i)^k,
-    k <= K, t0 = p^(-s0), each t0^i folded to p^e w^r in Q[w]/(w^M - p)."""
+    k <= K, t0 = p^(-s0), each t0^i folded to p^e w^r in Q[w]/(w^M - p),
+    by default at the least M, q / gcd(q, i over c_i != 0) for s0 = -a/q."""
     a, q = -s0.numerator, s0.denominator
     nums = poly.nums
+    M = M or q // gcd(q, *(i for i, c in enumerate(nums) if c))
     folded = [(i, *divmod(i * a * M // q, M)) for i, c in enumerate(nums) if c]
     E = max([-e for _, e, _ in folded] + [0])  # p^E clears the negative e
     terms = [(r, nums[i] * p ** (e + E), -i) for i, e, r in folded]
@@ -327,10 +329,9 @@ def _u_vectors(poly: QPoly, p: int, s0: Fraction, K: int, M: int) -> tuple[list[
 
 def u_expansion(poly: QPoly, p: int, s0: Fraction, K: int) -> list[RadicalScalar]:
     """Coefficients of U^0, ..., U^K of poly at t = p^(-s0) exp(-U), at the
-    least M (`_u_vectors`)."""
-    M = s0.denominator // gcd(s0.denominator, *(i for i, c in enumerate(poly.nums) if c))
-    X, d = _u_vectors(poly, p, s0, K, M)
-    return [RadicalScalar(p, M, QPoly.from_ints(v, d * factorial(k))) for k, v in enumerate(X)]
+    least M (`_u_vectors`), the length of each vector."""
+    X, d = _u_vectors(poly, p, s0, K)
+    return [RadicalScalar(p, len(v), QPoly.from_ints(v, d * factorial(k))) for k, v in enumerate(X)]
 
 
 def _over_factor(X: list, d: int, p: int, M: int, N: int, e: int, r: int) -> tuple[list, int]:

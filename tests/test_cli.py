@@ -1,9 +1,13 @@
 """Command-line interface: dispatch, exit codes, JSON schemas."""
 
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -481,3 +485,123 @@ def test_cli_grammar(capsys, tmp_path):
     zfile.write_text(out)
     laurent = ["--json", "laurent", "--zeta", str(zfile), "--s0=-3/2"]
     assert _run(capsys, *laurent, "-m", "4") == _run(capsys, *laurent)
+
+
+def _reference(options, argv):
+    """argparse's reading of argv by a command's option table: the values,
+    or None where argparse refuses argv."""
+    ap = argparse.ArgumentParser(prog="igusa-zeta")
+    for flag, (kind, required, default) in options.items():
+        if kind:  # argparse adds -h and --help itself
+            ap.add_argument(flag, required=required, default=default,
+                            **({"choices": kind} if type(kind) is tuple else {"type": kind}))
+    try:
+        with redirect_stderr(io.StringIO()):
+            ns, extra = ap.parse_known_args(argv)
+    except SystemExit:
+        return None
+    return None if extra else vars(ns)
+
+
+def _read(options, argv):
+    try:
+        return vars(cli._parse(options, argv))
+    except cli.UsageError:
+        return None
+
+
+# values drawn for each kind of flag; a "-"-leading one is a negative number
+# or starts with no digit: argparse's negative-number pattern is an internal
+# detail, and strings such as -3/2 or -1e5 are where a change to it shows
+_VALUES = {
+    int: (["3", "0", "12", "+2", "007", "-1", "-12"], ["-.5", "three", "1.5", "", "-x"]),
+    str: (["x*y", "y^2-x^3", "a=b", "x y", "", "-", "-1", "-2.5", "-x y"],
+          ["-x^2", "-f", "--p", "--fam", "-i7", "-k=2", "--zeta=z"]),
+}
+# unknown flags and stray words; "--" and -h/--help are left out: argparse
+# acts on help mid-parse, before later errors, and "--" is read differently
+# by different argparse releases
+_ODD = ["--bogus", "--bogus=1", "-z", "-z1", "stray", "-7"]
+
+
+@st.composite
+def _argv(draw):
+    """(command word, argv) in the documented forms: flags spelt exactly or
+    as unique long prefixes, values separate, after = or attached to a
+    one-letter flag, flags repeated or left out, values missing, bad ints
+    and choices, unknown flags and stray words."""
+    cmd = draw(st.sampled_from(COMMAND_WORDS))
+    options = cli.COMMANDS[cmd][1]
+    items = []
+    for flag, (kind, required, _) in options.items():
+        if not kind:
+            continue
+        names = [flag] + [flag[:k] for k in range(3, len(flag)) if flag[1] == "-"
+                          and sum(o.startswith(flag[:k]) for o in options) == 1]
+        good, bad = _VALUES.get(kind) or (list(kind), ["bogus", kind[0][:3], ""])
+        values = 3 * good + bad  # the bad values, a quarter or less, refuse argv
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 1, 2, 0] if required else [0, 1, 1, 2]))):
+            name, value = draw(st.sampled_from(names)), draw(st.sampled_from(values))
+            items.append(draw(st.sampled_from(
+                [[name, value]] * 4 + [[f"{name}={value}"]] * 2 + [[name]] + ([[name + value]] if len(name) == 2 else []))))
+    items += draw(st.lists(st.sampled_from(_ODD).map(lambda t: [t]), max_size=1))
+    return cmd, [t for item in draw(st.permutations(items)) for t in item]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_argv())
+def test_option_reader_matches_argparse(case):
+    """cli._parse accepts and refuses the argv argparse does, with the same
+    values, on every command's option table."""
+    cmd, argv = case
+    options = cli.COMMANDS[cmd][1]
+    assert _read(options, argv) == _reference(options, argv), argv
+
+
+def test_option_reader_forms():
+    count, zeta = cli.COMMANDS["count"][1], cli.COMMANDS["zeta"][1]
+    assert vars(cli._parse(count, ["-fx*y", "--p=3", "-i", "-1", "--m", "naive", "-i=2"])) == {
+        "f": "x*y", "p": 3, "i": 2, "mode": "naive"}
+    assert cli._parse(zeta, ["--fam=xyzi", "--i", "2", "--p", "3"]).family == "xyzi"
+    assert cli._parse(count, ["-f", "x", "--p", "3", "-i", "1", "--he"]) is None
+    for argv in (["-f", "x", "--p", "three", "-i", "1"], ["-f", "x", "--p", "3"],
+                 ["-f", "x", "--p", "3", "-i", "1", "--mode", "hen"],
+                 ["-f", "x", "--p", "3", "-i", "1", "--"], ["-f", "--p", "3", "-i", "1"]):
+        with pytest.raises(cli.UsageError):
+            cli._parse(count, argv)
+    with pytest.raises(cli.UsageError, match="--l: expected one argument"):
+        cli._parse(cli.COMMANDS["divisibility"][1], ["-f", "x", "--p", "2", "-k", "2", "--l", "-3/2"])
+    with pytest.raises(cli.UsageError, match="ambiguous option: --f could match --family, --file"):
+        cli._flag({"--family": (str, False, None), "--file": (str, False, None)}, "--f")
+
+
+def test_usage_errors_exit_2_and_help_exits_0(capsys):
+    assert run(["count", "-f", "x", "--p", "three", "-i", "1"]) == 2
+    assert capsys.readouterr().err == "usage error: argument --p: invalid int value: 'three'\n"
+    assert run(["--json", "count", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: igusa-zeta [--json] count -f STR --p INT -i INT")
+
+
+def test_cli_import_does_not_load_argparse():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import igusa.cli, sys; sys.exit('argparse' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_poles_of_a_huge_factor_fold_at_the_least_degree(capsys, tmp_path):
+    """is_real_pole folds the numerator 1 at M = 1, not at the denominator
+    10^9 of s0, which built a 10^9-entry list."""
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps({"p": 3, "numerator": [["1", "1"]],
+                                 "denominator": [{"N": 10**9, "nu": 1}]}))
+    code, out = _run(capsys, "--json", "poles", "--zeta", str(zfile))
+    assert code == 0 and json.loads(out)["candidates"] == [
+        {"N": 10**9, "nu": 1, "real_part": "-1/1000000000", "real_pole": True}]
+
+
+def test_naive_count_at_a_huge_level_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert run(["count", "-f", "x*y", "--p", "3", "-i", "1000000000", "--mode", "naive"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.endswith("exceeds budget 100000000\n")
