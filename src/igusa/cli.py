@@ -143,7 +143,7 @@ def cmd_zeta(args) -> int:
         z = zeta_from_charts(cells, ctx)
     elif args.family == "sum-squares":
         z = zeta_two_var(parse_poly("x^2+y^2"), PadicContext(p, 2))
-    else:  # xyzi: argparse's choices admit no other family
+    else:  # xyzi: the option table's choices admit no other family
         if args.i is None:
             raise UsageError("xyzi needs --i")
         z = zeta_xy_zi(PadicContext(p, 3), args.i)

@@ -539,11 +539,11 @@ def _argv(draw):
         names = [flag] + [flag[:k] for k in range(3, len(flag)) if flag[1] == "-"
                           and sum(o.startswith(flag[:k]) for o in options) == 1]
         good, bad = _VALUES.get(kind) or (list(kind), ["bogus", kind[0][:3], ""])
-        values = 3 * good + bad  # the bad values, a quarter or less, refuse argv
+        values = 3 * good + bad  # one value in three to five is bad
         for _ in range(draw(st.sampled_from([1, 1, 1, 1, 1, 2, 0] if required else [0, 1, 1, 2]))):
             name, value = draw(st.sampled_from(names)), draw(st.sampled_from(values))
-            items.append(draw(st.sampled_from(
-                [[name, value]] * 4 + [[f"{name}={value}"]] * 2 + [[name]] + ([[name + value]] if len(name) == 2 else []))))
+            forms = [[name, value]] * 4 + [[f"{name}={value}"]] * 2 + [[name]]
+            items.append(draw(st.sampled_from(forms + ([[name + value]] if len(name) == 2 else []))))
     items += draw(st.lists(st.sampled_from(_ODD).map(lambda t: [t]), max_size=1))
     return cmd, [t for item in draw(st.permutations(items)) for t in item]
 
@@ -601,6 +601,7 @@ def test_poles_of_a_huge_factor_fold_at_the_least_degree(capsys, tmp_path):
 
 
 def test_naive_count_at_a_huge_level_is_refused_at_once(capsys):
+    """count_naive refuses p^(n*i) past its budget before it computes p^i."""
     start = time.perf_counter()
     assert run(["count", "-f", "x*y", "--p", "3", "-i", "1000000000", "--mode", "naive"]) == 2
     assert time.perf_counter() - start < 1
