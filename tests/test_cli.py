@@ -548,7 +548,7 @@ def _argv(draw):
     return cmd, [t for item in draw(st.permutations(items)) for t in item]
 
 
-@settings(max_examples=300, derandomize=True)
+@settings(max_examples=250, derandomize=True)
 @given(_argv())
 def test_option_reader_matches_argparse(case):
     """cli._parse accepts and refuses the argv argparse does, with the same
