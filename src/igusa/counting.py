@@ -4,21 +4,24 @@ Both evaluate f with `_eval_mod`, square-and-multiply over numpy arrays that
 reduces each coordinate a term uses once, each term below m, and the sum of
 the terms once; int64 arrays need m <= 2^31.  A zero mod p with a unit
 partial derivative lifts to p^((n-1)(i-1)) zeros mod p^i (Hensel's lemma).
-For a zero a mod p^(j-1) that is singular mod p and a
-digit vector d, Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) +
-p^(j-1) grad f(a).d mod p^(2(j-1)).  Since grad f(a) = 0 mod p and 2(j-1)
->= j for j >= 2, all p^n lifts of a pass or fail mod p^j with a: the pass
-evaluates f once per kept zero per level, and a survivor adds p^n to M_j.
-For j >= 3 also 2(j-1) >= j+1.  If a survives, f(a) = p^j F and grad f(a)
-= p G, and a lift survives level j+1 iff F + G.d = 0 mod p: for p^(n-1) of
-the d if G != 0 mod p, for all or none of them (by F) if G = 0.  So a last
-level imax >= 4 is counted from its parents, the survivors of level
-imax - 1 >= 3 (at j = 2 the terms of degree 2 in p d do not vanish mod
-p^3).  The other levels build lifts `_BLOCK` rows at a time, from digit
-vectors built once per (p, n) and shared read-only, keep only the
-survivors, and refuse to build more than `NAIVE_BUDGET`; the same formula
-counts, from level j >= 3, the lifts level j + 2 would build, so a pass
-that must refuse does so before it builds level j + 1.
+For a zero a mod p^(j-1) that is singular mod p and a digit vector d,
+Taylor's formula over Z gives f(a + p^(j-1) d) = f(a) + p^(j-1) grad f(a).d
+mod p^(2(j-1)).  Since grad f(a) = 0 mod p and 2(j-1) >= j for j >= 2, all
+p^n lifts of a pass or fail mod p^j with a: a survivor of level j adds p^n
+to M_j.  Level 3 closes the survivors a (given mod p^2) with grad f(a) != 0
+mod p^2: then f(a + p^2 d) = p^3 g(d), g = f(a)/p^3 + G.d mod p with G =
+grad f(a)/p != 0 mod p, so g is smooth mod p and a adds p^(n+(n-1)(i-3))
+to M_i for every i >= 4, like a smooth zero at level 1.  Every other
+survivor, and every lift of one, has grad f = 0 mod p^2, so for j >= 3
+f(a + p^(j-1) d) = f(a) mod p^(j+1): all p^n lifts of a pass level j + 1,
+or none does.  From level 3 on the pass therefore tests each survivor once
+mod p^(j+1) and builds only the lifts of those that pass, `_BLOCK` rows at
+a time, from digit vectors built once per (p, n) and shared read-only, and
+keeps them only while the next level lifts them: the last level is counted
+from its parents without building anything.  The rows a level would build
+are known before it builds them, and more than `NAIVE_BUDGET` of them are
+refused; so are counts M_0..M_k of more than 8 `NAIVE_BUDGET` bits, before
+any work.
 
 numpy is imported inside the functions that build arrays, so a command that
 does not count never loads it.
@@ -114,12 +117,16 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
     runs on g, naming f's levels.  Level 1 enumerates the digit vectors,
     counts the smooth zeros in closed form and keeps the singular ones that
     are zeros mod p^2: the survivors of level 2.  A survivor a of level j, a
-    zero mod p^j given mod p^(j-1), adds p^n to M_j, and level j + 1 keeps
-    its lifts a + p^(j-1) d that are zeros mod p^(j+1).  A last level
-    imax >= 4 is counted by Taylor's formula (module docstring)."""
+    zero mod p^j given mod p^(j-1), adds p^n to M_j.  Level 3 closes those
+    with grad f != 0 mod p^2; from level 4 on the pass keeps parents, the
+    survivors of level j - 1 whose p^n lifts all survive level j (module
+    docstring)."""
     if imax < 0:
         raise ValueError(f"level {imax} < 0")
     n, q = f.nvars, p**f.nvars
+    bits = n * p.bit_length() * imax * (imax + 1) // 2
+    if bits > 8 * NAIVE_BUDGET:  # before p^imax and a list of imax + 1 counts
+        raise ValueError(f"level {imax}: {bits} bits of counts exceed budget {8 * NAIVE_BUDGET}")
     w = min([imax, *(vp(c, p) for c in f.terms.values())]) if f.terms else 0
     f, imax = MultiPoly(f.vars, {e: c // p**w for e, c in f.terms.items()}), imax - w
     if imax == 0:
@@ -128,7 +135,7 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
         raise ValueError(f"level {1 + w}: {q} lifts exceed budget {NAIVE_BUDGET}")
     import numpy as np
 
-    dtype = np.int64 if p**imax <= 2**31 else object
+    dtype = np.int64 if imax <= 31 and p**imax <= 2**31 else object
     counts = [1] + [0] * imax
     grads = [f.derivative(v) for v in f.vars]
 
@@ -147,13 +154,6 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
             nonzero |= _eval_mod(g, pts.T, m) != 0
         return nonzero
 
-    def taylor_survivors(pts, j):
-        """How many lifts of level j's survivors pts survive level j + 1, j >= 3:
-        f(a + p^(j-1) d) = p^j (F + G.d) mod p^(j+1), F = f(a)/p^j, G = grad f(a)/p."""
-        F = _eval_mod(f, pts.T, p ** (j + 1)) // p**j
-        g = grad_nonzero(pts, p * p)
-        return q // p * int(np.count_nonzero(g)) + q * int(np.count_nonzero(~g & (F == 0)))
-
     pts = []
     for block in lifts(np.zeros((1, n), dtype=dtype), 1):
         block = _zeros(f, block, p)
@@ -163,22 +163,26 @@ def poincare_truncation(f: MultiPoly, p: int, imax: int) -> PoincareSeries:
             counts[i] += s * p ** ((n - 1) * (i - 1))
         counts[1] += len(block) - s
         pts.append(_zeros(f, block[~smooth], p ** min(imax, 2)))
-    pts = np.concatenate(pts)
-    for j in range(2, imax + 1):  # pts: the survivors of level j
-        counts[j] += q * len(pts)
-        if j == imax or not len(pts):
+    size = len(pts := np.concatenate(pts))
+    for j in range(2, imax + 1):  # size: the survivors of level j, from j = 4 their parents
+        counts[j] += q ** (1 + (j >= 4)) * size
+        if j == imax or not size:
             break
-        if j + 1 == imax >= 4:
-            counts[imax] += q * taylor_survivors(pts, j)
-            break
-        if j >= 3 and j + 2 < imax and len(pts) * q * q > NAIVE_BUDGET:
-            # level j + 2 may build too many lifts: count them before building j + 1
-            lifts_next = taylor_survivors(pts, j) * q
-            if lifts_next > NAIVE_BUDGET:
-                raise ValueError(f"level {j + 2 + w}: {lifts_next} lifts exceed budget {NAIVE_BUDGET}")
-        if len(pts) * q > NAIVE_BUDGET:
-            raise ValueError(f"level {j + 1 + w}: {len(pts) * q} lifts exceed budget {NAIVE_BUDGET}")
-        pts = np.concatenate([_zeros(f, b, p ** (j + 1)) for b in lifts(pts, p ** (j - 1))])
+        if j == 3:  # close the survivors with grad f != 0 mod p^2, keep level 4's parents
+            closed = grad_nonzero(pts, p * p)
+            c = int(np.count_nonzero(closed))
+            for i in range(4, imax + 1):
+                counts[i] += c * q * p ** ((n - 1) * (i - 3))
+            size = len(pts := _zeros(f, pts[~closed], p**4))
+            continue
+        if size * q > NAIVE_BUDGET:
+            raise ValueError(f"level {j + 1 + w}: {size * q} lifts exceed budget {NAIVE_BUDGET}")
+        kept, size = [], 0  # level 3's survivors or level j + 1's parents
+        for b in lifts(pts, p ** max(1, j - 2)):
+            size += len(b := _zeros(f, b, p ** (j + 1)))
+            if j + 1 < imax and (j == 2 or size * q <= NAIVE_BUDGET):  # lifted next
+                kept.append(b)
+        pts = np.concatenate(kept or [pts[:0]])
     return PoincareSeries(p, n, [q**i for i in range(w)] + [q**w * m for m in counts])
 
 
@@ -186,6 +190,6 @@ def verify_zeta_against_counts(
     z: ZetaRational, f: MultiPoly, imax: int
 ) -> tuple[bool, list[int], list[int]]:
     """Compare the counts predicted by z with Hensel counts up to p^imax."""
+    actual = poincare_truncation(f, z.p, imax).counts()  # first: it refuses a huge imax
     predicted = poincare_from_zeta(z, f.nvars, imax).counts()
-    actual = poincare_truncation(f, z.p, imax).counts()
     return predicted == actual, predicted, actual

@@ -259,8 +259,8 @@ def test_hensel_budget_is_an_error_not_a_crash(capsys, monkeypatch):
     assert run(["poincare", "-f", "x^2+0*y+0*z", "--p", "101", "-k", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: level 3: 10510100501 lifts exceed budget")
     monkeypatch.setattr(counting, "NAIVE_BUDGET", 1000)
-    assert run(["poincare", "-f", "x*y+z^2", "--p", "3", "-k", "6"]) == 2
-    assert capsys.readouterr().err.startswith("error: level 5: 2673 lifts exceed budget")
+    assert run(["poincare", "-f", "x*y+z^2", "--p", "3", "-k", "7"]) == 2
+    assert capsys.readouterr().err.startswith("error: level 7: 2673 lifts exceed budget")
 
 
 def test_zeta_from_chart_file(capsys, tmp_path):
@@ -598,6 +598,26 @@ def test_poles_of_a_huge_factor_fold_at_the_least_degree(capsys, tmp_path):
     code, out = _run(capsys, "--json", "poles", "--zeta", str(zfile))
     assert code == 0 and json.loads(out)["candidates"] == [
         {"N": 10**9, "nu": 1, "real_part": "-1/1000000000", "real_pole": True}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-f", "x*y", "--p", "3", "-i", "100000000"),
+        ("poincare", "-f", "x*y", "--p", "3", "-k", "100000000"),
+        ("divisibility", "-f", "x*y", "--p", "3", "-k", "100000000"),
+        ("verify", "-f", "x*y+z^2", "--zeta", "ZETA", "--p", "3", "-k", "100000000"),
+    ],
+    ids=["count", "poincare", "divisibility", "verify"],
+)
+def test_hensel_count_at_a_huge_level_is_refused_at_once(capsys, tmp_path, argv):
+    """The Hensel pass refuses counts of too many bits before any work."""
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps(zeta_xy_zi(PadicContext(3, 3), 2).to_json()))
+    start = time.perf_counter()
+    assert run([str(zfile) if a == "ZETA" else a for a in argv]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: level 100000000: ")
 
 
 def test_naive_count_at_a_huge_level_is_refused_at_once(capsys):

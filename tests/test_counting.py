@@ -1,6 +1,7 @@
 """Brute-force and Hensel-descent solution counting mod p^i."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from igusa.counting import (
 )
 from igusa.context import PadicContext
 from igusa.families import zeta_xy_zi
+from igusa.integrate2d import zeta_two_var
 from igusa.poly import MultiPoly, parse_poly
 from igusa.zeta import one_var_integral, poincare_from_zeta
 
@@ -226,6 +228,26 @@ def test_hensel_memory_stays_blocked():
         assert peak < 8 * 10**6, (p, k)
 
 
+def test_hensel_keeps_only_rows_the_next_level_lifts(monkeypatch):
+    # at p = 5, x*y+z^2 has 465625 parents at level 8 (11 MB of int64 rows):
+    # counted, not kept, when level 8 is the last, or when level 9 would
+    # build 465625 * 125 lifts, past a budget of 10^7 that level 8's
+    # 2265625 lifts fit
+    f = parse_poly("x*y+z^2")
+    tracemalloc.start()
+    try:
+        poincare_truncation(f, 5, 8)
+        last = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(counting, "NAIVE_BUDGET", 10**7)
+        with pytest.raises(ValueError, match=r"^level 9: 58203125 lifts exceed budget 10000000$"):
+            poincare_truncation(f, 5, 9)
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last < 8 * 10**6 and refused < 8 * 10**6
+
+
 @pytest.mark.parametrize("p", [31, 101])
 def test_hensel_large_p_matches_zeta(p):
     # the last level of p^3 lifts per survivor is counted, not enumerated
@@ -233,15 +255,66 @@ def test_hensel_large_p_matches_zeta(p):
     assert poincare_truncation(parse_poly("x*y+z^2"), p, 4).counts() == predicted
 
 
+@pytest.mark.parametrize("p, k", [(5, 8), (3, 10), (7, 7)])
+def test_hensel_deep_levels_match_zeta_xy_z2(p, k):
+    predicted = poincare_from_zeta(zeta_xy_zi(PadicContext(p, 3), 2), 3, k).counts()
+    assert poincare_truncation(parse_poly("x*y+z^2"), p, k).counts() == predicted
+
+
+@pytest.mark.parametrize("text", ["y^2-x^3", "y^2-x^5", "x^2+y^3", "x*y*(x+y)+x^4", "y^3-x^7"])
+@pytest.mark.parametrize("p, k", [(2, 12), (3, 10), (5, 8)])
+def test_hensel_deep_levels_match_zeta_two_var(text, p, k):
+    f = parse_poly(text, vars=("x", "y"))
+    predicted = poincare_from_zeta(zeta_two_var(f, PadicContext(p, 2)), 2, k).counts()
+    assert poincare_truncation(f, p, k).counts() == predicted
+
+
+@pytest.mark.parametrize("text, p, k",
+                         [("x*y+z^2", 3, 7), ("x*y+z^3", 2, 10), ("y^2-x^3+x*y", 3, 8)])
+def test_hensel_never_tests_a_lift_of_a_closed_survivor(monkeypatch, text, p, k):
+    # the survivors of level 3, classes a mod p^2 with f(a) = 0 mod p^3 and
+    # grad f(a) = 0 mod p, close when grad f(a) != 0 mod p^2: no row the pass
+    # tests mod p^4 or deeper lies in one of their classes
+    f = parse_poly(text)
+    grads = [f.derivative(v) for v in f.vars]
+    closed = {a for a in itertools.product(range(p * p), repeat=f.nvars)
+              if f.eval_int(a) % p**3 == 0 and all(g.eval_int(a) % p == 0 for g in grads)
+              and any(g.eval_int(a) % (p * p) for g in grads)}
+    deep, zeros = [], counting._zeros
+
+    def spy(f, pts, m):
+        if m >= p**4:
+            deep.extend(map(tuple, pts.tolist()))
+        return zeros(f, pts, m)
+
+    monkeypatch.setattr(counting, "_zeros", spy)
+    poincare_truncation(f, p, k)
+    assert closed and deep
+    assert not {tuple(x % (p * p) for x in row) for row in deep} & closed
+
+
 def test_hensel_budget(monkeypatch):
-    # at p = 3, x*y+z^2 has 1, 9 and 99 survivors at levels 2, 3 and 4, so
-    # level 5 would test 99 * 27 = 2673 lifts
+    # at p = 3, x*y+z^2 keeps 1 parent at level 4 (level 3's survivor 0; the
+    # other 8 close), then 9 and 99 parents at levels 5 and 6, so level 7
+    # would build 99 * 27 = 2673 lifts
     f = parse_poly("x*y+z^2")
     monkeypatch.setattr(counting, "NAIVE_BUDGET", 1000)
-    with pytest.raises(ValueError, match=r"^level 5: 2673 lifts exceed budget 1000$"):
-        poincare_truncation(f, 3, 6)
-    # a last level counted by Taylor's formula builds no lifts
-    assert poincare_truncation(f, 3, 5).counts() == [1, 9, 99, 891, 8505, 76545]
+    with pytest.raises(ValueError, match=r"^level 7: 2673 lifts exceed budget 1000$"):
+        poincare_truncation(f, 3, 7)
+    # a last level counted from its parents builds no lifts
+    assert poincare_truncation(f, 3, 6).counts() == [1, 9, 99, 891, 8505, 76545, 702027]
+
+
+def test_hensel_refuses_a_huge_level_before_any_work():
+    # M_0..M_k of x*y+z^2 at p = 3 take up to 3 * 2 * k (k + 1) / 2 bits;
+    # verify counts first, so Z's series to p^k is never built either
+    f, start = parse_poly("x*y+z^2"), time.perf_counter()
+    with pytest.raises(ValueError, match=r"^level 100000000: 30000000300000000 bits of counts "
+                                         r"exceed budget 800000000$"):
+        poincare_truncation(f, 3, 10**8)
+    with pytest.raises(ValueError, match=r"^level 100000000: "):
+        verify_zeta_against_counts(zeta_xy_zi(PadicContext(3, 3), 2), f, 10**8)
+    assert time.perf_counter() - start < 1
 
 
 def test_hensel_budget_at_level_1(monkeypatch):
@@ -265,14 +338,16 @@ def test_hensel_refuses_one_level_ahead():
 
 
 def test_hensel_refuses_before_building_the_level_below(monkeypatch):
-    # at p = 7, k = 8, x*y+z^2 would test 2254037191 lifts at level 7; the
-    # survivors of level 6 are counted by Taylor's formula from those of
-    # level 5, so level 6 (its zeros mod 7^6) is never built
+    # at p = 7 and a budget of 10^6, x*y+z^2 keeps 132055 parents at level 7,
+    # so level 8 would build 45294865 lifts; level 7 is counted from its
+    # parents, so its survivors (tested mod 7^8 for level 8) are never built.
+    # At the default budget the same holds one level deeper, at p = 7, k = 9
     moduli, zeros = [], counting._zeros
     monkeypatch.setattr(counting, "_zeros", lambda f, pts, m: moduli.append(m) or zeros(f, pts, m))
-    with pytest.raises(ValueError, match=r"^level 7: 2254037191 lifts exceed budget 100000000$"):
+    monkeypatch.setattr(counting, "NAIVE_BUDGET", 10**6)
+    with pytest.raises(ValueError, match=r"^level 8: 45294865 lifts exceed budget 1000000$"):
         poincare_truncation(parse_poly("x*y+z^2"), 7, 8)
-    assert max(moduli) == 7**5
+    assert max(moduli) == 7**7
 
 
 def test_hensel_divides_out_the_content():
@@ -300,10 +375,10 @@ def test_hensel_with_content_matches_lifting_every_digit_vector(case, w):
 
 
 def test_hensel_refusal_names_the_level_of_f(monkeypatch):
-    # 9 (x*y+z^2) at p = 3 refuses g's level 5 as f's level 7
+    # 9 (x*y+z^2) at p = 3 refuses g's level 7 as f's level 9
     monkeypatch.setattr(counting, "NAIVE_BUDGET", 1000)
-    with pytest.raises(ValueError, match=r"^level 7: 2673 lifts exceed budget 1000$"):
-        poincare_truncation(parse_poly("9*x*y+9*z^2"), 3, 8)
+    with pytest.raises(ValueError, match=r"^level 9: 2673 lifts exceed budget 1000$"):
+        poincare_truncation(parse_poly("9*x*y+9*z^2"), 3, 9)
 
 
 def test_digit_blocks_are_read_only():
