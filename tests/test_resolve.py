@@ -257,3 +257,41 @@ def test_every_site_lies_on_the_strict_transform(terms):
         if code == 0:
             assert set(json.loads(out.getvalue())) == {"curves", "adjacency", "strict_components"}
     assert mus and min(mus) >= 1
+
+
+def _resolve_record(f):
+    """Everything resolve computes for f, as one line of text: the tree,
+    every blowup record and relation check, and the candidate poles at
+    character orders 1, 2 and 3; or the error f raises."""
+    try:
+        tree = resolve_germ(f)
+    except ValueError as e:
+        return repr((f.vars, sorted(f.terms.items()), type(e).__name__, str(e)))
+    log = [(r.step, r.mu, sorted(r.axes.items()), r.new_id, r.components) for r in tree.log]
+    checks = [relations_check(tree, step) for step in range(1, len(tree.log) + 1)]
+    poles = [[(c.real_part, c.expected_order, c.sources) for c in resolution_candidate_poles(tree, CharacterSpec(k))]
+             for k in (1, 2, 3)]
+    return repr((f.vars, sorted(f.terms.items()), tree.numerical_data(), sorted(sorted(e) for e in tree.adjacency),
+                 [(s.attached_to, s.degree) for s in tree.strict_components], log, checks, poles))
+
+
+def test_resolve_output_digest():
+    # pins the whole output of resolve on the acceptance corpus and 300
+    # random squarefree germs, each in both variable orders; any change of
+    # a curve, edge, strict component, log record, relation or candidate
+    # pole changes the digest
+    import hashlib
+    import random
+
+    from test_acceptance import CORPUS_2VAR
+    from test_poly import _random_germs
+
+    named = ["x", "y-x^2", "x-y^2", "x*y", "x*(y-x^2)", "y*(y-x^2)", "x*y*(x+y)", "x^2*y+x*y^2",
+             "(2*y-x)^2-x^3", "(2*y-x)*(3*y-x)*y+x^4", "y^2-x^127", "0", "x+1", "y^2",
+             "(y^2-2*x^2)^2+x^5", "(y^2+x^2)*(y^2+2*x^2)+x^5"]
+    germs = [parse_poly(t, vars=("x", "y")) for t in CORPUS_2VAR + named] + _random_germs(random.Random(18), 300)
+    germs += [MultiPoly(("y", "x"), {e[::-1]: c for e, c in f.terms.items()}) for f in germs]
+    records = [_resolve_record(f) for f in germs]
+    assert len(records) == 650 and sum("Error'" in r for r in records) == 8
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "f07ca52e6d47849165fbbd28f4c6b848f02109561e4f0deaea8a4cf7b80da00a"
