@@ -1,9 +1,9 @@
-"""Zeta functions from normal-crossings chart data, and candidate poles."""
+"""Zeta functions from normal-crossings chart data."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import PadicContext
@@ -53,24 +53,6 @@ class ChartCell:
         )
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
-    """A multiplicative character of Z_p^*, known only by its order."""
-
-    order: int = 1
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("character order must be >= 1")
-
-
-@dataclass
-class CandidatePole:
-    real_part: Fraction
-    expected_order: int = 1
-    sources: list = field(default_factory=list)
-
-
 def zeta_from_charts(cells: list[ChartCell], ctx: PadicContext) -> ZetaRational:
     """Sum the chart contributions for the trivial character."""
     if not cells:
@@ -111,19 +93,3 @@ def integrate_univariate(h: MultiPoly, box_j: int, ctx: PadicContext) -> ZetaRat
     f = MultiPoly(("u", "w"), {(sum(e), 0): c for e, c in h.terms.items()})
     return _W(f, ctx.p, 0, 1, 0, 1, box_j, 0, 0).reduced()
 
-
-def candidate_poles_filtered(
-    data: list[tuple[int, int]], chi: CharacterSpec = CharacterSpec()
-) -> list[CandidatePole]:
-    """Candidate poles -nu/N for pairs with chi.order dividing N,
-    deduplicated by real part."""
-    seen: dict[Fraction, CandidatePole] = {}
-    for idx, (N, nu) in enumerate(data):
-        if N % chi.order != 0:
-            continue
-        rp = Fraction(-nu, N)
-        if rp in seen:
-            seen[rp].sources.append(idx)
-        else:
-            seen[rp] = CandidatePole(real_part=rp, sources=[idx])
-    return [seen[k] for k in sorted(seen)]

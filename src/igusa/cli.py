@@ -16,7 +16,8 @@ zeta file, a p at or past the bound of `context.is_prime`) or a Hensel
 level that would build more than `NAIVE_BUDGET` lifts, level 1 included,
 3 unsupported input (a non-squarefree `resolve` germ, a non-rational
 blowup center), 4 internal error (an ArithmeticError such as an exceeded
-recursion depth).
+recursion depth, or a MemoryError: a run that outgrows the memory it may
+use is no verification mismatch).
 
 `--json` prints `json.dumps(value, indent=2)` byte for byte, as written by
 `_dumps`: below Python 3.13 that call runs the stdlib's pure-Python encoder.
@@ -31,7 +32,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .charts import ChartCell, CharacterSpec, zeta_from_charts
+from .charts import ChartCell, zeta_from_charts
 from .context import PadicContext
 from .counting import count_hensel, count_naive, poincare_truncation, verify_zeta_against_counts
 from .divisibility import (
@@ -190,10 +191,11 @@ def cmd_laurent(args) -> int:
 
 def cmd_poles(args) -> int:
     z = _load_json(args.zeta, ZetaRational.from_json).reduced()
-    chi = CharacterSpec(args.chi_order)
+    if args.chi_order < 1:
+        raise ValueError("character order must be >= 1")
     cands = []
     for (N, nu), m in sorted(z.denominator.items()):
-        if N % chi.order:
+        if N % args.chi_order:
             continue
         cands.append({"N": N, "nu": nu, "real_part": _fmt_frac(Fraction(-nu, N)),
                       "real_pole": z.is_real_pole(Fraction(-nu, N))})
@@ -352,8 +354,8 @@ def run(argv) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ArithmeticError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except (ArithmeticError, MemoryError) as e:
+        print(f"internal error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 4
 
 

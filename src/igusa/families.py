@@ -60,7 +60,7 @@ def _residue(p: int, M: int, kappa: Fraction, terms: list[tuple[int, int, int, i
     Q(w), w = p^(1/M), as one integer vector over one denominator: each term
     is a geometric sum (`geometric`), and with B = 1 it is
     w^x / (1 - w^k) = sum_(j<n) w^(kj + x) / (1 - p^(kn/M)), n = M / gcd(k, M)."""
-    sums = [(c, *geometric(p, M, k, x, 1, B)) for c, k, x, B in terms]
+    sums = [(c, *geometric(p, M, k, x, B)) for c, k, x, B in terms]
     L = lcm(*(D for _, _, D in sums))
     acc = [0] * M
     for c, vec, D in sums:

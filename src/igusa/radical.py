@@ -3,9 +3,9 @@
 Elements are represented in the quotient Q[w] / (w^M - p), each by its
 residue: a QPoly in w of degree < M.  For p prime the polynomial w^M - p is
 irreducible over Q (Eisenstein), so the quotient is a field and an element
-is zero exactly when its residue is.  `inverse` is the geometric sum
-`geometric` on integers for w^k (a + b w^r), and the cofactor of `qpoly.prs`
-against w^M - p for the rest.  `over_binomial` divides a vector by
+is zero exactly when its residue is.  `inverse` is the cofactor of
+`qpoly.prs` against w^M - p.  `geometric` writes w^k / (1 - B w^r) over
+one integer denominator, and `over_binomial` divides a vector by
 A - B w^r in O(M).  `sign` runs Horner's rule on an interval around p^(1/M)
 from integer Newton iteration.
 """
@@ -87,25 +87,16 @@ class RadicalScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "RadicalScalar":
-        """Field inverse.  One or two terms, w^k (A - B w^r) / D, in closed form
-        (`geometric`, with w^-k = w^(M-k) / p).  Three or more terms: the
-        cofactor s of `prs` against w^M - p, with s a = 1 mod w^M - p."""
+        """Field inverse: the cofactor s of `prs` against w^M - p, with
+        s a = 1 mod w^M - p."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        nums, M, p = self.poly.nums, self.M, self.p
-        k, *rest = [i for i, c in enumerate(nums) if c]
-        if len(rest) > 1:
-            g, s = prs(QPoly.from_ints([-p] + [0] * (M - 1) + [1], 1), self.poly)
-            # g is 1, a primitive nonzero constant (the modulus is irreducible),
-            # and s has degree M - deg(the remainder before g) < M: it is reduced
-            if g.degree != 0:
-                raise ArithmeticError("modulus not coprime to element")
-            return RadicalScalar(p, M, s)
-        r, B = (rest[0] - k, -nums[-1]) if rest else (0, 0)
-        vec, D = geometric(p, M, r, M - k, nums[k], B)
-        if not D:
+        g, s = prs(QPoly.from_ints([-self.p] + [0] * (self.M - 1) + [1], 1), self.poly)
+        # g is 1, a primitive nonzero constant (the modulus is irreducible),
+        # and s has degree M - deg(the remainder before g) < M: it is reduced
+        if g.degree != 0:
             raise ArithmeticError("modulus not coprime to element")
-        return RadicalScalar(p, M, QPoly.from_ints([self.poly.den * c for c in vec], p * D))
+        return RadicalScalar(self.p, self.M, s)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -167,27 +158,28 @@ class RadicalScalar:
         return " + ".join(terms)
 
 
-def geometric(p: int, M: int, r: int, k: int, A: int, B: int) -> tuple[list[int], int]:
-    """(vec, D) with w^k / (A - B w^r) = sum vec[s] w^s / D in Q[w]/(w^M - p),
-    for integers A != 0, 0 <= r <= M and k >= 0: with n = M / gcd(r, M), the
-    geometric sum (A - B w^r) sum_(j<n) A^(n-1-j) B^j w^(rj) is the integer
-    D = A^n - B^n p^(rn/M).  D = 0 means A - B w^r is zero."""
+def geometric(p: int, M: int, r: int, k: int, B: int) -> tuple[list[int], int]:
+    """(vec, D) with w^k / (1 - B w^r) = sum vec[s] w^s / D in Q[w]/(w^M - p),
+    for integers 0 <= r <= M and k >= 0: with n = M / gcd(r, M), the
+    geometric sum (1 - B w^r) sum_(j<n) B^j w^(rj) is the integer
+    D = 1 - B^n p^(rn/M).  D = 0 means 1 - B w^r is zero."""
     n = M // gcd(r, M)
     e, s = divmod(k, M)
-    vec, c = [0] * M, A ** (n - 1) * p**e
-    for _ in range(n):  # c w^s = A^(n-1-j) B^j w^(rj+k); the s are distinct
-        vec[s], c = c, c * B // A
+    vec, c = [0] * M, p**e
+    for _ in range(n):  # c w^s = B^j w^(rj+k); the s are distinct
+        vec[s], c = c, c * B
         s += r
         if s >= M:
             s, c = s - M, c * p
-    return vec, A**n - B**n * p ** (r * n // M)
+    return vec, 1 - B**n * p ** (r * n // M)
 
 
 def over_binomial(p: int, M: int, r: int, A: int, B: int, x: list[int]) -> tuple[list[int], int]:
     """(Y, D) with (A - B w^r) Y = D x, x an integer vector, A != 0, 0 <= r <= M:
-    Y = x sum_(j<n) A^(n-1-j) B^j w^(rj) as in `geometric`, in O(M).  On each
-    cycle s -> s + r mod M, a Horner sum gives Y at its start, and
-    A Y_(s+r) = D x_(s+r) + B lam Y_s, lam = p on a wrap past M, the rest."""
+    Y = x sum_(j<n) A^(n-1-j) B^j w^(rj) and D = A^n - B^n p^(rn/M),
+    n = M / gcd(r, M), in O(M).  On each cycle s -> s + r mod M, a Horner
+    sum gives Y at its start, and A Y_(s+r) = D x_(s+r) + B lam Y_s,
+    lam = p on a wrap past M, the rest."""
     g = gcd(r, M)
     n = M // g
     D, Bp = A**n - B**n * p ** (r // g), B * p

@@ -1,4 +1,5 @@
-"""Embedded resolution of plane-curve germs by point blowups over Q.
+"""Embedded resolution of plane-curve germs by point blowups over Q, and
+the candidate poles of its numerical data.
 
 Each blowup happens at the origin of a local chart ("site") carrying the
 strict transform and up to two exceptional curves as coordinate axes.
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charts import CandidatePole, CharacterSpec, candidate_poles_filtered
 from .poly import MultiPoly, blowup_chart_a, is_squarefree, tangent_cone_factors
 
 
@@ -43,6 +43,13 @@ class BlowupRecord:
     axes: dict  # coordinate -> (curve id, N, nu)
     new_id: int
     components: list  # (label, degree, N_jr, nu_jr) through the center
+
+
+@dataclass
+class CandidatePole:
+    real_part: Fraction
+    expected_order: int = 1
+    sources: list = field(default_factory=list)
 
 
 @dataclass
@@ -92,7 +99,6 @@ def resolve_germ(f: MultiPoly) -> ResolutionTree:
         raise UnsupportedGermError("non-squarefree input: pass the reduced part and record multiplicities")
     xn, yn = f.vars
     tree = ResolutionTree()
-    step = 0
     # each site: (strict transform, axes dict coord->curve id)
     sites = [(f, {})]
     # point blowups bring a reduced plane-curve germ to normal crossings in finitely many steps
@@ -102,31 +108,20 @@ def resolve_germ(f: MultiPoly) -> ResolutionTree:
         # and each new center is a root of a tangent-cone factor, so mu >= 1
         mu = s.multiplicity_at_origin()
         xmult, ymult, factors = tangent_cone_factors(s, xn, yn)
-        if mu == 1:
-            # smooth strict transform
-            if not axes:
-                tree.strict_components.append(StrictComponent(attached_to=-1))
-                continue
-            if len(axes) == 1:
-                ((coord, cid),) = axes.items()
-                # tangent line of s vs the axis {coord = 0}
-                tangent_is_axis = ymult == 1 if coord == yn else xmult == 1
-                if not tangent_is_axis:
-                    tree.strict_components.append(StrictComponent(attached_to=cid))
-                    continue
-            # tangent to the single axis, or passing through a crossing point
-        elif mu == 2 and not axes:
-            # mu = xmult + ymult + sum m deg, so simple linear factors and
-            # xmult, ymult <= 1 are two smooth branches crossing transversally:
-            # already normal crossings, nothing to do (e.g. f = x*y)
-            if all(len(cs) == 2 and m == 1 for cs, m in factors) and xmult <= 1 and ymult <= 1:
-                tree.strict_components += [StrictComponent(attached_to=-1) for _ in range(2)]
-                continue
+        if (mu + len(axes) <= 2 and xmult <= 1 and ymult <= 1
+                and all(len(cs) == 2 and m == 1 for cs, m in factors)
+                and not any(ymult if coord == yn else xmult for coord in axes)):
+            # normal crossings already: mu = xmult + ymult + sum m deg, so the
+            # tangent cone is mu simple lines, none of them the axis {coord = 0},
+            # and the strict transform is mu smooth branches crossing
+            # transversally (e.g. f = x*y), on the one axis if there is one
+            cid = next(iter(axes.values()), -1)
+            tree.strict_components += [StrictComponent(attached_to=cid) for _ in range(mu)]
+            continue
         # blow up the origin of this site
         ax_list = list(axes.items())
         N_new = mu + sum(tree.curve(c).N for _, c in ax_list)
         nu_new = (2 - len(ax_list)) + sum(tree.curve(c).nu for _, c in ax_list)
-        step += 1
         new_id = len(tree.curves) + 1
         tree.curves.append(ExceptionalCurve(id=new_id, N=N_new, nu=nu_new))
         if len(ax_list) == 2:
@@ -151,7 +146,7 @@ def resolve_germ(f: MultiPoly) -> ResolutionTree:
             components.append((f"factor deg {len(cs)-1}", len(cs) - 1, m, 1))
         tree.log.append(
             BlowupRecord(
-                step=step,
+                step=new_id,
                 mu=mu,
                 axes={k: (v, tree.curve(v).N, tree.curve(v).nu) for k, v in axes.items()},
                 new_id=new_id,
@@ -210,28 +205,24 @@ def relations_check(tree: ResolutionTree, step: int) -> dict:
     }
 
 
-def resolution_candidate_poles(
-    tree: ResolutionTree, chi: CharacterSpec = CharacterSpec()
-) -> list[CandidatePole]:
-    """Candidate poles of the exceptional curves and, as (N, nu) = (1, 1),
-    of the strict transform.  Sources are curve ids, -1 for the strict
-    transform."""
-    data = tree.numerical_data() + [(1, 1)] * bool(tree.strict_components)
-    poles = candidate_poles_filtered(data, chi)
-    rp_of = {c.id: c.real_part for c in tree.curves}
-    for pole in poles:
-        pole.sources = [i + 1 if i < len(tree.curves) else -1 for i in pole.sources]
-        # expected order: 2 when two components with the same real part meet
-        rp = pole.real_part
-        order = 1
-        for edge in tree.adjacency:
-            a, b = tuple(edge)
-            if rp_of[a] == rp and rp_of[b] == rp:
-                order = 2
-        for s in tree.strict_components:
-            if s.attached_to >= 0 and rp == Fraction(-1) and rp_of[s.attached_to] == rp:
-                order = 2
-        if rp == -1 and sum(s.attached_to < 0 for s in tree.strict_components) == 2:
-            order = 2  # two free branches meet: a node that needs no blowup
-        pole.expected_order = order
-    return poles
+def resolution_candidate_poles(tree: ResolutionTree, chi_order: int = 1) -> list[CandidatePole]:
+    """Candidate poles -nu/N, deduplicated by real part, of the exceptional
+    curves and, as (N, nu) = (1, 1), of the strict transform, for a
+    character of order chi_order dividing N.  Sources are curve ids, -1 for
+    the strict transform.  The expected order is 2 where two components
+    with the same real part meet."""
+    if chi_order < 1:
+        raise ValueError("character order must be >= 1")
+    data = [(c.id, c.N, c.nu) for c in tree.curves] + [(-1, 1, 1)] * bool(tree.strict_components)
+    rp = {i: Fraction(-nu, N) for i, N, nu in data}
+    # the meetings: curve with curve, strict branch with its curve, and the
+    # two free branches of a node that needs no blowup
+    meets = [tuple(e) for e in tree.adjacency]
+    meets += [(-1, s.attached_to) for s in tree.strict_components if s.attached_to >= 0]
+    meets += [(-1, -1)] * (sum(s.attached_to < 0 for s in tree.strict_components) == 2)
+    double = {rp[a] for a, b in meets if rp[a] == rp[b]}
+    poles: dict[Fraction, CandidatePole] = {}
+    for i, N, _ in data:
+        if N % chi_order == 0:
+            poles.setdefault(rp[i], CandidatePole(rp[i], 1 + (rp[i] in double))).sources.append(i)
+    return [poles[r] for r in sorted(poles)]

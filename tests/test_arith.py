@@ -110,13 +110,13 @@ def test_radical_scalar_inverse():
     x = RadicalScalar(3, 4, [2, 1, 0, Fraction(-1, 7)])
     one = x * x.inverse()
     assert one.as_rational() == 1
-    # four terms at M = 66 (Euclid): primitive remainders keep this fast
+    # four terms at M = 66: primitive remainders keep this fast
     cs = [0] * 66
     cs[0], cs[17], cs[40], cs[65] = Fraction(59, 37), Fraction(-43, 29), Fraction(31, 40), Fraction(-53, 11)
     x = RadicalScalar(5, 66, cs)
     assert x * x.inverse() == 1
     # p = 4 is not prime: w^2 - 4 = (w - 2)(w + 2) and w^4 - 4 = (w^2 - 2)(w^2 + 2),
-    # so 2 - w, 2 + w (closed form) and (w^2 - 2)(1 + w) (Euclid) have no inverse
+    # so 2 - w, 2 + w and (w^2 - 2)(1 + w) have no inverse
     for cs in ([2, -1], [2, 1], [-2, -2, 1, 1]):
         with pytest.raises(ArithmeticError):
             RadicalScalar(4, len(cs), cs).inverse()
@@ -203,8 +203,8 @@ def test_radical_kernel_properties(case, k, c, m):
 @settings(max_examples=300)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 70), st.data())
 def test_radical_binomial_inverse(p, M, data):
-    """The closed-form inverse of w^k (a + b w^r): k = 0 is a + b w^r, a = 0 a
-    monomial, r = 0 a rational times w^k; M up to 70 as in the residues."""
+    """The inverse of w^k (a + b w^r): k = 0 is a + b w^r, a = 0 a monomial,
+    r = 0 a rational times w^k; M up to 70 as in the residues."""
     k = data.draw(st.integers(0, M - 1))
     r = data.draw(st.integers(0, M - 1 - k))
     a, b = data.draw(_FRACTIONS), data.draw(_FRACTIONS)

@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 
 from igusa.charts import (
-    CharacterSpec,
     ChartCell,
-    candidate_poles_filtered,
     integrate_univariate,
     zeta_from_charts,
 )
@@ -129,16 +127,3 @@ def test_integrate_univariate_rejects_non_integer_coefficients():
         with pytest.raises(ValueError):
             integrate_univariate(MultiPoly(("u",), {(1,): Fraction(1, 2)}), 0, PadicContext(p, 1))
 
-
-def test_candidate_filter_trivial_character():
-    cps = candidate_poles_filtered([(2, 2), (3, 3), (6, 5)])
-    assert {c.real_part for c in cps} == {Fraction(-1), Fraction(-5, 6)}
-
-
-def test_candidate_filter_order_two():
-    cps = candidate_poles_filtered([(2, 1)], CharacterSpec(order=2))
-    assert [c.real_part for c in cps] == [Fraction(-1, 2)]
-
-
-def test_candidate_filter_drops_nondivisible():
-    assert candidate_poles_filtered([(3, 2)], CharacterSpec(order=2)) == []

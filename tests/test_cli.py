@@ -352,6 +352,24 @@ def test_internal_error_exit_code(capsys):
     assert capsys.readouterr().err.startswith("internal error:")
 
 
+def test_out_of_memory_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    # exit 1 means a verification mismatch: a MemoryError exits 4
+    zfile = _xyzi_file(capsys, tmp_path, 2, 3)
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_zeta_against_counts", exhausted)
+    assert run(["verify", "-f", "x*y+z^2", "--zeta", zfile, "--p", "3", "-k", "2"]) == 4
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
+def test_poles_character_order_below_one_is_an_error(capsys, tmp_path):
+    zfile = _xyzi_file(capsys, tmp_path, 2, 3)
+    assert run(["poles", "--zeta", zfile, "--chi-order", "0"]) == 2
+    assert capsys.readouterr().err == "error: character order must be >= 1\n"
+
+
 def test_bad_inputs_stay_usage_errors(capsys, tmp_path):
     # arithmetic failures caused by the input are not internal errors
     assert _run(capsys, "divisibility", "-f", "x*y+z^2", "--p", "2", "-k", "2", "--l=1/0")[0] == 2

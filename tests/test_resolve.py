@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from igusa import integrate2d, resolve
-from igusa.charts import CharacterSpec
 from igusa.cli import run
 from igusa.context import PadicContext
 from igusa.families import theorem_membership
@@ -137,13 +136,18 @@ def test_recursion_consistency():
 def test_candidate_pole_character_filter():
     tree = _tree("x^2+y^5")
     # data (2,2),(4,3),(5,4),(10,7), strict N=1: nothing divisible by 3
-    assert resolution_candidate_poles(tree, CharacterSpec(order=3)) == []
-    with_d2 = resolution_candidate_poles(tree, CharacterSpec(order=2))
+    assert resolution_candidate_poles(tree, 3) == []
+    with_d2 = resolution_candidate_poles(tree, 2)
     assert {c.real_part for c in with_d2} == {
         Fraction(-1),
         Fraction(-3, 4),
         Fraction(-7, 10),
     }
+
+
+def test_candidate_poles_reject_character_order_below_one():
+    with pytest.raises(ValueError, match="character order must be >= 1"):
+        resolution_candidate_poles(_tree("y^2-x^3"), 0)
 
 
 def test_rejects_non_squarefree():
@@ -269,7 +273,7 @@ def _resolve_record(f):
         return repr((f.vars, sorted(f.terms.items()), type(e).__name__, str(e)))
     log = [(r.step, r.mu, sorted(r.axes.items()), r.new_id, r.components) for r in tree.log]
     checks = [relations_check(tree, step) for step in range(1, len(tree.log) + 1)]
-    poles = [[(c.real_part, c.expected_order, c.sources) for c in resolution_candidate_poles(tree, CharacterSpec(k))]
+    poles = [[(c.real_part, c.expected_order, c.sources) for c in resolution_candidate_poles(tree, k)]
              for k in (1, 2, 3)]
     return repr((f.vars, sorted(f.terms.items()), tree.numerical_data(), sorted(sorted(e) for e in tree.adjacency),
                  [(s.attached_to, s.degree) for s in tree.strict_components], log, checks, poles))
